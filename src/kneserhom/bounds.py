@@ -14,9 +14,9 @@ import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .combinatorics import binom, mask_of, subset_str
+from .combinatorics import binom, bit_indices, check_mk, mask_of, subset_str
 from .config import DEFAULT_GUARDS, GuardExceeded, Guards
-from .graphs import (Graph, bit_indices, closed_neighborhood, induced,
+from .graphs import (Graph, closed_neighborhood, complement, induced,
                      induced_matching_number, is_cochordal, neighborhood,
                      three_disjoint)
 from .kneser import (KneserGraph, build, double_star_cover, dominating_w,
@@ -87,13 +87,6 @@ class BoundReport:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _check_mk(m: int, k: int) -> None:
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if m < 2 * k:
-        raise ValueError(f"need m >= 2k, got m={m}, k={k}")
-
-
 # ---------------------------------------------------------------------------
 # formula-level bounds
 # ---------------------------------------------------------------------------
@@ -102,7 +95,7 @@ def _check_mk(m: int, k: int) -> None:
 def reg_power_bounds(m: int, k: int, p: int) -> BoundReport:
     """Bounds on reg(R / I(H(m,k))^p): the induced-matching lower bound and
     the star-cover upper bound both shift by 2(p - 1)."""
-    _check_mk(m, k)
+    check_mk(m, k)
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     lower = 2 * (p - 1) + binom(2 * k, k)
@@ -121,7 +114,7 @@ def reg_power_bounds(m: int, k: int, p: int) -> BoundReport:
 
 def reg_bounds(m: int, k: int) -> BoundReport:
     """Bounds on reg(R / I(H(m,k)))."""
-    _check_mk(m, k)
+    check_mk(m, k)
     lower = binom(2 * k, k)
     anchors = ["regularity lower bound via induced matching"]
     if m == 2 * k:
@@ -141,7 +134,7 @@ def reg_bounds(m: int, k: int) -> BoundReport:
 
 def pd_bounds(m: int, k: int) -> BoundReport:
     """Bounds on pd(R / I(H(m,k))) over 2C(m,k) variables."""
-    _check_mk(m, k)
+    check_mk(m, k)
     n = 2 * binom(m, k)
     lower = n - binom(2 * k, k)
     ratio = _ceil_div(binom(m, k), binom(m - k, k))
@@ -253,7 +246,7 @@ def independent_domination_number(g: Graph, guards: Guards = DEFAULT_GUARDS) -> 
 
 def _maximal_independent_sets(g: Graph, guards: Guards) -> list[int]:
     # Bron-Kerbosch with pivoting on the complement adjacency.
-    nadj = [g.full_mask & ~row & ~(1 << v) for v, row in enumerate(g.adj)]
+    nadj = complement(g).adj
     out: list[int] = []
 
     def bk(r: int, p: int, x: int) -> None:
@@ -312,7 +305,7 @@ def certify_induced_matching(m: int, k: int, s: int | None = None,
                              max_edges: int = 64) -> BoundReport:
     """Certified induced matching of size C(2k,k), plus the exact induced
     matching number when the exhaustive search fits the guards."""
-    _check_mk(m, k)
+    check_mk(m, k)
     kn = build(m, k, guards)
     g = kn.graph
     if s is None:
@@ -369,7 +362,7 @@ def certify_cochordal_cover(m: int, k: int, variant: str = STAR_VARIANT,
                             guards: Guards = DEFAULT_GUARDS) -> BoundReport:
     """Certified cover of the edge set by co-chordal subgraphs; the member
     count upper-bounds the regularity."""
-    _check_mk(m, k)
+    check_mk(m, k)
     kn = build(m, k, guards)
     g = kn.graph
     if variant == STAR_VARIANT:
@@ -418,7 +411,7 @@ def certify_domination(m: int, k: int, s: int | None = None,
                        guards: Guards = DEFAULT_GUARDS) -> BoundReport:
     """Certified independent dominating set of size C(2k,k); the exact
     independent domination number is attached when the search completes."""
-    _check_mk(m, k)
+    check_mk(m, k)
     kn = build(m, k, guards)
     g = kn.graph
     if kn.is_ladder:
@@ -474,7 +467,7 @@ def certify_gamma_demand(m: int, k: int, q: int | None = None,
                          guards: Guards = DEFAULT_GUARDS) -> BoundReport:
     """Certified demand family: gamma_of(D) for the right-side demand D of
     supersets of a (k-1)-set Q, with the (k+1)-element witness family."""
-    _check_mk(m, k)
+    check_mk(m, k)
     kn = build(m, k, guards)
     g = kn.graph
     if q is None:

@@ -10,9 +10,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
+from . import __version__
 from . import bounds as bounds_mod
 from . import closed_form, export, hochster, kneser
 from .combinatorics import binom, mask_of
@@ -32,25 +34,33 @@ def _guards_from(args) -> Guards:
 def _cache_dir(args) -> Path | None:
     if args.cache_dir:
         return Path(args.cache_dir)
-    import os
     env = os.environ.get(ENV_PREFIX + "CACHE_DIR")
     return Path(env) if env else None
 
 
-def _cache_fetch(cache: Path | None, key_obj: dict) -> tuple[str | None, Path | None]:
+def _cache_fetch(cache: Path | None, key_obj: dict, parse):
+    """(parse(entry), path) on a hit.  A missing entry, or one that parse
+    rejects, is a miss: (None, path), and the caller overwrites it."""
     if cache is None:
         return None, None
+    key_obj = {**key_obj, "version": __version__}
     key = hashlib.sha256(json.dumps(key_obj, sort_keys=True).encode()).hexdigest()
     path = cache / f"{key}.json"
-    if path.exists():
-        return path.read_text(), path
-    return None, path
+    try:
+        return parse(path.read_text()), path
+    except (FileNotFoundError, ValueError, LookupError, TypeError,
+            AttributeError):
+        return None, path
 
 
 def _cache_store(path: Path | None, text: str) -> None:
+    # Write a sibling file and rename it over the entry, so a reader sees
+    # the old entry or the new one, never a partial write.
     if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        tmp = path.with_suffix(f".{os.getpid()}.tmp")
+        tmp.write_text(text)
+        os.replace(tmp, path)
 
 
 def _parse_subset(raw: str | None) -> int | None:
@@ -94,6 +104,8 @@ def cmd_info(args) -> int:
 
 
 def cmd_betti_linear(args) -> int:
+    if args.verify and args.output == "csv":
+        raise ValueError("--output csv is not available with --verify")
     guards = _guards_from(args)
     strand = closed_form.linear_strand(args.m, args.k, args.i_max)
     if not args.verify:
@@ -134,22 +146,23 @@ def cmd_betti_linear(args) -> int:
     return 0 if ok else 1
 
 
+def _table_from(stored: str) -> hochster.BettiTable:
+    obj = json.loads(stored)
+    return hochster.betti_table_from_json(json.dumps(obj["table"]), n=obj["n"])
+
+
 def cmd_betti_table(args) -> int:
     guards = _guards_from(args)
     cache = _cache_dir(args)
     key = {"command": "betti-table", "m": args.m, "k": args.k, "char": args.char}
-    cached, path = _cache_fetch(cache, key)
-    if cached is None:
+    table, path = _cache_fetch(cache, key, _table_from)
+    if table is None:
         g = kneser.build(args.m, args.k, guards).graph
         table = hochster.full_betti_oracle(g, field_char=args.char, guards=guards)
         stored = json.dumps({"n": table.n,
                              "table": json.loads(hochster.betti_table_to_json(table))},
                             indent=2, sort_keys=True)
         _cache_store(path, stored)
-    else:
-        stored = cached
-    obj = json.loads(stored)
-    table = hochster.betti_table_from_json(json.dumps(obj["table"]), n=obj["n"])
     if args.output == "json":
         print(hochster.betti_table_to_json(table))
     else:
@@ -176,6 +189,11 @@ def _render_report_text(obj: dict) -> str:
     return "\n".join(lines)
 
 
+def _report_from(stored: str) -> tuple[str, str]:
+    """A report's JSON text and its text rendering."""
+    return stored, _render_report_text(json.loads(stored))
+
+
 def cmd_bounds(args) -> int:
     if args.invariant == "reg":
         report = bounds_mod.reg_bounds(args.m, args.k)
@@ -197,8 +215,8 @@ def cmd_certify(args) -> int:
     key = {"command": "certify", "m": args.m, "k": args.k, "kind": args.kind,
            "s": args.s, "j": args.j, "t": args.t, "q": args.q,
            "variant": args.variant}
-    cached, path = _cache_fetch(cache, key)
-    if cached is None:
+    entry, path = _cache_fetch(cache, key, _report_from)
+    if entry is None:
         s = _parse_subset(args.s)
         q = _parse_subset(args.q)
         if args.kind == "matching":
@@ -216,14 +234,10 @@ def cmd_certify(args) -> int:
         else:
             report = bounds_mod.certify_gamma_demand(args.m, args.k, q, s,
                                                      guards=guards)
-        stored = report.to_json()
-        _cache_store(path, stored)
-    else:
-        stored = cached
-    if args.output == "json":
-        print(stored)
-    else:
-        print(_render_report_text(json.loads(stored)))
+        entry = _report_from(report.to_json())
+        _cache_store(path, entry[0])
+    stored, rendered = entry
+    print(stored if args.output == "json" else rendered)
     return 0
 
 
@@ -250,11 +264,9 @@ def _parser() -> argparse.ArgumentParser:
     common.add_argument("m", type=int, help="ground set size")
     common.add_argument("k", type=int, help="subset size (left side)")
     common.add_argument("--threads", type=int, default=1,
-                        help="worker threads for oracle sums (default 1)")
+                        help="accepted for compatibility; has no effect")
     common.add_argument("--cache-dir", default=None,
                         help="directory for cached results")
-    common.add_argument("--output", choices=["text", "json", "csv"],
-                        default="text", help="output format")
     for guard in ("max-subsets", "max-faces", "max-matrix-cells", "max-search-nodes"):
         common.add_argument(f"--{guard}", type=int, default=None,
                             dest=guard.replace("-", "_"),
@@ -310,6 +322,12 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--format", choices=["m2", "singular", "dot", "json"],
                     required=True)
     sp.set_defaults(func=cmd_export)
+
+    # csv exists only for the unverified linear strand (checked in the command)
+    for name, sp in sub.choices.items():
+        sp.add_argument("--output", default="text", help="output format",
+                        choices=["text", "json", "csv"] if name == "betti-linear"
+                        else ["text", "json"])
     return p
 
 

@@ -16,19 +16,12 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .combinatorics import binom, n_exact
+from .combinatorics import binom, check_mk, n_exact
 
 
 @lru_cache(maxsize=None)
 def _n_exact_cached(m: int, q: int, r: int, t: int) -> int:
     return n_exact(m, q, r, t)
-
-
-def _check_params(m: int, k: int) -> None:
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if m < 2 * k:
-        raise ValueError(f"need m >= 2k, got m={m}, k={k}")
 
 
 def betti_linear(m: int, k: int, i: int) -> int:
@@ -37,7 +30,7 @@ def betti_linear(m: int, k: int, i: int) -> int:
         sum over r + s = i + 1 (r, s >= 1) and t in [k, m-k] of
         C(C(t,k), r) * C(m, t) * n_exact(m, s, m-k, t)
     """
-    _check_params(m, k)
+    check_mk(m, k)
     if i < 1:
         raise ValueError(f"i must be >= 1, got {i}")
     total = 0
@@ -79,7 +72,7 @@ class LinearStrand:
 
 
 def linear_strand(m: int, k: int, i_max: int) -> LinearStrand:
-    _check_params(m, k)
+    check_mk(m, k)
     if i_max < 1:
         raise ValueError(f"i_max must be >= 1, got {i_max}")
     values = tuple(betti_linear(m, k, i) for i in range(1, i_max + 1))

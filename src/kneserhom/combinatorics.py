@@ -28,14 +28,27 @@ def binom(n: int, k: int) -> int:
     return comb(n, k)
 
 
-def elements_of(mask: int) -> tuple[int, ...]:
-    """1-based elements of a subset mask, ascending."""
+def check_mk(m: int, k: int) -> None:
+    """Reject parameters that name no bipartite Kneser graph H(m, k)."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if m < 2 * k:
+        raise ValueError(f"need m >= 2k, got m={m}, k={k}")
+
+
+def bit_indices(mask: int) -> tuple[int, ...]:
+    """0-based set bit positions of a mask, ascending."""
     out = []
     while mask:
         low = mask & -mask
-        out.append(low.bit_length())
+        out.append(low.bit_length() - 1)
         mask ^= low
     return tuple(out)
+
+
+def elements_of(mask: int) -> tuple[int, ...]:
+    """1-based elements of a subset mask, ascending."""
+    return tuple(i + 1 for i in bit_indices(mask))
 
 
 def mask_of(elements) -> int:

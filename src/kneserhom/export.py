@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 
-from .combinatorics import elements_of
+from .combinatorics import elements_of, subset_str
 from .graphs import to_dot
 from .kneser import KneserGraph
 
@@ -53,7 +53,11 @@ def to_singular(kn: KneserGraph) -> str:
 
 
 def to_dot_graph(kn: KneserGraph) -> str:
-    return to_dot(kn.graph, name=f"H_{kn.m}_{kn.k}")
+    def attrs(vid: int) -> str:
+        return (f'label="{subset_str(kn.subset_of(vid))}", '
+                f'side="{kn.side_of(vid).value}"')
+
+    return to_dot(kn.graph, name=f"H_{kn.m}_{kn.k}", attrs=attrs)
 
 
 def to_json_graph(kn: KneserGraph) -> str:

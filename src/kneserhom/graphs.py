@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .combinatorics import subset_str
+from .combinatorics import bit_indices
 from .config import DEFAULT_GUARDS, Guards
 
 
@@ -22,32 +22,9 @@ class Side(Enum):
 
 
 @dataclass(frozen=True)
-class SubsetLabel:
-    """Optional vertex decoration: which subset of [m] this vertex encodes."""
-
-    mask: int
-    m: int
-    side: Side
-
-    def __str__(self) -> str:
-        return subset_str(self.mask)
-
-
-def bit_indices(mask: int) -> tuple[int, ...]:
-    """0-based set bit positions of a mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
-
-
-@dataclass(frozen=True)
 class Graph:
     n: int
     adj: tuple[int, ...]  # adj[v] = bitmask of neighbours of v
-    labels: tuple[SubsetLabel, ...] | None = None
 
     def __post_init__(self):
         if self.n < 0:
@@ -64,18 +41,9 @@ class Graph:
             for u in bit_indices(row):
                 if not self.adj[u] >> v & 1:
                     raise ValueError(f"Graph: adjacency not symmetric at ({v},{u})")
-        if self.labels is not None:
-            if len(self.labels) != self.n:
-                raise ValueError("Graph: labels length must equal n")
-            seen = set()
-            for lab in self.labels:
-                key = (lab.side, lab.mask)
-                if key in seen:
-                    raise ValueError(f"Graph: duplicate label {lab} on side {lab.side.value}")
-                seen.add(key)
 
     @classmethod
-    def from_edges(cls, n: int, edges, labels=None) -> "Graph":
+    def from_edges(cls, n: int, edges) -> "Graph":
         adj = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -84,7 +52,7 @@ class Graph:
                 raise ValueError(f"self-loop at {u}")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        return cls(n, tuple(adj), tuple(labels) if labels is not None else None)
+        return cls(n, tuple(adj))
 
     @property
     def full_mask(self) -> int:
@@ -108,7 +76,7 @@ class Graph:
 def complement(g: Graph) -> Graph:
     full = g.full_mask
     adj = tuple(full & ~row & ~(1 << v) for v, row in enumerate(g.adj))
-    return Graph(g.n, adj, g.labels)
+    return Graph(g.n, adj)
 
 
 def induced(g: Graph, w: int) -> Graph:
@@ -123,8 +91,7 @@ def induced(g: Graph, w: int) -> Graph:
         for u in bit_indices(g.adj[v] & w):
             row |= 1 << index[u]
         adj.append(row)
-    labels = tuple(g.labels[v] for v in verts) if g.labels is not None else None
-    return Graph(len(verts), tuple(adj), labels)
+    return Graph(len(verts), tuple(adj))
 
 
 def neighborhood(g: Graph, x: int) -> int:
@@ -336,15 +303,12 @@ def induced_matching_number(g: Graph, guards: Guards = DEFAULT_GUARDS,
 # ---------------------------------------------------------------------------
 
 
-def to_dot(g: Graph, name: str = "G") -> str:
-    """Deterministic DOT rendering; subset labels become node labels."""
+def to_dot(g: Graph, name: str = "G", attrs=None) -> str:
+    """Deterministic DOT rendering; attrs(v), when given, is the attribute
+    list of node v."""
     lines = [f"graph {name} {{"]
     for v in range(g.n):
-        if g.labels is not None:
-            lab = g.labels[v]
-            lines.append(f'  v{v} [label="{lab}", side="{lab.side.value}"];')
-        else:
-            lines.append(f"  v{v};")
+        lines.append(f"  v{v} [{attrs(v)}];" if attrs else f"  v{v};")
     for u, v in g.edges():
         lines.append(f"  v{u} -- v{v};")
     lines.append("}")

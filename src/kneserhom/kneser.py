@@ -13,10 +13,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .combinatorics import (MAX_GROUND, binom, colex_rank, colex_unrank,
-                            elements_of, k_subsets, mask_of, subset_str)
+from .combinatorics import (MAX_GROUND, binom, bit_indices, check_mk,
+                            colex_rank, colex_unrank, elements_of, k_subsets,
+                            mask_of, subset_str)
 from .config import DEFAULT_GUARDS, Guards
-from .graphs import Graph, Side, SubsetLabel
+from .graphs import Graph, Side
 
 Edge = tuple[int, int]
 EdgeSet = tuple[Edge, ...]
@@ -67,28 +68,19 @@ class KneserGraph:
 
 def build(m: int, k: int, guards: Guards = DEFAULT_GUARDS) -> KneserGraph:
     """Construct H(m, k).  Requires 1 <= k, 2k <= m <= 62."""
-    if k < 1:
-        raise ValueError(f"build: k must be >= 1, got {k}")
-    if m < 2 * k:
-        raise ValueError(f"build: need m >= 2k, got m={m}, k={k}")
+    check_mk(m, k)
     if m > MAX_GROUND:
         raise ValueError(f"build: m must be <= {MAX_GROUND}, got {m}")
     n_left = binom(m, k)
     guards.check("max_subsets", 2 * n_left, f"build H({m},{k})")
     full = (1 << m) - 1
-    labels = []
-    lefts = list(k_subsets(m, k))
-    for a in lefts:
-        labels.append(SubsetLabel(a, m, Side.LEFT))
-    for b in k_subsets(m, m - k):
-        labels.append(SubsetLabel(b, m, Side.RIGHT))
+    right_ids = {b: n_left + r for r, b in enumerate(k_subsets(m, m - k))}
     edges = []
-    for ra, a in enumerate(lefts):
+    for ra, a in enumerate(k_subsets(m, k)):
         rest = elements_of(full & ~a)
         for extra in itertools.combinations(rest, m - 2 * k):
-            b = a | mask_of(extra)
-            edges.append((ra, n_left + colex_rank(b)))
-    g = Graph.from_edges(2 * n_left, edges, labels)
+            edges.append((ra, right_ids[a | mask_of(extra)]))
+    g = Graph.from_edges(2 * n_left, edges)
     degree = binom(m - k, k)
     assert all(row.bit_count() == degree for row in g.adj), \
         f"H({m},{k}) is not {degree}-regular"
@@ -124,17 +116,9 @@ def star_cover(kn: KneserGraph) -> tuple[EdgeSet, ...]:
     g = kn.graph
     out = []
     for ra in range(kn.n_left):
-        member = tuple(sorted((ra, rb) for rb in _neighbor_ids(g, ra)))
+        member = tuple(sorted((ra, rb) for rb in bit_indices(g.adj[ra])))
         out.append(member)
     return tuple(out)
-
-
-def _neighbor_ids(g: Graph, v: int):
-    row = g.adj[v]
-    while row:
-        low = row & -row
-        yield low.bit_length() - 1
-        row ^= low
 
 
 def double_star_cover(kn: KneserGraph, t: int) -> tuple[EdgeSet, ...]:
@@ -156,8 +140,8 @@ def double_star_cover(kn: KneserGraph, t: int) -> tuple[EdgeSet, ...]:
             continue
         ida = kn.left_id(a)
         idb = kn.right_id(a | t_bit)
-        union = {(ida, rb) for rb in _neighbor_ids(g, ida)}
-        union |= {(ra, idb) for ra in _neighbor_ids(g, idb)}
+        union = {(ida, rb) for rb in bit_indices(g.adj[ida])}
+        union |= {(ra, idb) for ra in bit_indices(g.adj[idb])}
         member = tuple(e for e in sorted(union) if e not in seen)
         seen.update(member)
         members.append(member)

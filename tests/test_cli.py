@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import json
+import os
+from pathlib import Path
 
 import pytest
 
+import kneserhom.cli
 import kneserhom.hochster
 from kneserhom.cli import main
 
@@ -193,6 +196,72 @@ def test_certify_cache_round_trip(capsys, tmp_path) -> None:
     assert code1 == code2 == 0
     assert out1 == out2
     assert len(list(tmp_path.glob("*.json"))) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("betti-table", "3", "1"),
+    ("certify", "5", "2", "--kind", "gamma", "--output", "json"),
+])
+@pytest.mark.parametrize("garbage", [
+    "garbage{", "", "[1]", "{}",
+    '{"n": 6, "table": {"char": 2, "entries": [{"i": 0}]}}',
+    '{"params": [], "invariant": "x"}',
+])
+def test_unreadable_cache_entry_is_recomputed(capsys, tmp_path, argv,
+                                              garbage) -> None:
+    code, fresh, _ = run(capsys, *argv)
+    cached = (*argv, "--cache-dir", str(tmp_path))
+    run(capsys, *cached)
+    [entry] = tmp_path.iterdir()
+    entry.write_text(garbage)
+    code2, out2, _ = run(capsys, *cached)
+    assert code == code2 == 0
+    assert out2 == fresh
+    assert list(tmp_path.iterdir()) == [entry]
+    assert entry.read_text() != garbage
+    assert run(capsys, *cached)[:2] == (0, fresh)
+
+
+def test_cache_key_includes_package_version(capsys, tmp_path,
+                                            monkeypatch) -> None:
+    args = ("betti-table", "2", "1", "--cache-dir", str(tmp_path))
+    _, out1, _ = run(capsys, *args)
+    monkeypatch.setattr(kneserhom.cli, "__version__", "0.0.0+other")
+    _, out2, _ = run(capsys, *args)
+    assert out1 == out2
+    assert len(list(tmp_path.iterdir())) == 2
+
+
+def test_cache_store_renames_into_place(capsys, tmp_path, monkeypatch) -> None:
+    calls = []
+    real_replace = os.replace
+
+    def spy(src, dst) -> None:
+        assert not Path(dst).exists()  # the entry appears only by the rename
+        calls.append((Path(src), Path(dst)))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", spy)
+    run(capsys, "certify", "5", "2", "--kind", "gamma",
+        "--cache-dir", str(tmp_path))
+    [(src, dst)] = calls
+    assert src.parent == dst.parent == tmp_path and src != dst
+    assert list(tmp_path.iterdir()) == [dst]
+
+
+@pytest.mark.parametrize("argv", [
+    ("betti-linear", "4", "2", "--verify"),
+    ("info", "5", "2"),
+    ("betti-table", "3", "1"),
+    ("bounds", "5", "2", "--invariant", "reg"),
+    ("certify", "5", "2", "--kind", "matching"),
+    ("export", "5", "2", "--format", "m2"),
+])
+def test_csv_output_only_for_unverified_linear_strand(capsys, argv) -> None:
+    code, out, err = run(capsys, *argv, "--output", "csv")
+    assert code == 2
+    assert out == ""
+    assert "csv" in err
 
 
 @pytest.mark.parametrize("fmt,needle", [

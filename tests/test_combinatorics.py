@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from kneserhom.combinatorics import (
     MAX_GROUND,
     binom,
+    bit_indices,
+    check_mk,
     colex_rank,
     colex_unrank,
     elements_of,
@@ -33,6 +35,22 @@ def test_binom_pascal_identity() -> None:
     for n in range(1, 65):
         for k in range(-2, n + 3):
             assert binom(n, k) == binom(n - 1, k - 1) + binom(n - 1, k)
+
+
+def test_check_mk_accepts_exactly_the_kneser_parameters() -> None:
+    for m, k in [(2, 1), (3, 1), (5, 2), (62, 31)]:
+        check_mk(m, k)
+    for m, k in [(3, 2), (1, 1), (4, 0), (0, 0), (5, -1)]:
+        with pytest.raises(ValueError):
+            check_mk(m, k)
+
+
+@given(st.integers(min_value=0, max_value=(1 << 70) - 1))
+def test_bit_indices_and_elements_of_agree(mask: int) -> None:
+    idx = bit_indices(mask)
+    assert sum(1 << i for i in idx) == mask
+    assert list(idx) == sorted(set(idx))
+    assert elements_of(mask) == tuple(i + 1 for i in idx)
 
 
 def test_mask_round_trip() -> None:

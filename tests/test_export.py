@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+import re
 
+from kneserhom.combinatorics import elements_of, subset_str
 from kneserhom.export import (
     to_dot_graph,
     to_json_graph,
@@ -60,3 +62,16 @@ def test_json_graph(kn52) -> None:
 def test_exports_are_deterministic(kn42) -> None:
     assert to_macaulay2(kn42) == to_macaulay2(kn42)
     assert to_json_graph(kn42) == to_json_graph(kn42)
+
+
+def test_vertex_labels_follow_the_colex_layout(kn52) -> None:
+    dot = to_dot_graph(kn52)
+    nodes = dict(re.findall(r"^  v(\d+) \[(.*)\];$", dot, re.M))
+    vertices = json.loads(to_json_graph(kn52))["vertices"]
+    assert len(nodes) == len(vertices) == kn52.graph.n == 20
+    for v in range(kn52.graph.n):
+        subset, side = kn52.subset_of(v), kn52.side_of(v).value
+        assert nodes[str(v)] == f'label="{subset_str(subset)}", side="{side}"'
+        assert vertices[v] == {"id": v, "side": side,
+                               "subset": list(elements_of(subset))}
+        assert len(vertices[v]["subset"]) == (2 if side == "L" else 3)

@@ -20,6 +20,7 @@ from kneserhom.graphs import (
     three_disjoint,
     to_dot,
 )
+from kneserhom.export import to_dot_graph
 from kneserhom.kneser import build
 
 
@@ -253,8 +254,15 @@ def test_degrees_of_kneser(kn52) -> None:
 
 
 def test_to_dot_is_deterministic(kn21) -> None:
-    out = to_dot(kn21.graph, name="H")
-    assert out == to_dot(kn21.graph, name="H")
-    assert out.startswith("graph H {")
+    out = to_dot_graph(kn21)
+    assert out == to_dot_graph(kn21)
+    assert out.startswith("graph H_2_1 {")
     assert 'side="L"' in out and 'side="R"' in out
     assert out.count(" -- ") == kn21.graph.edge_count()
+
+
+def test_to_dot_node_attributes() -> None:
+    g = path_graph(2)
+    assert to_dot(g) == "graph G {\n  v0;\n  v1;\n  v0 -- v1;\n}\n"
+    out = to_dot(g, name="P", attrs=lambda v: f'color="c{v}"')
+    assert out == 'graph P {\n  v0 [color="c0"];\n  v1 [color="c1"];\n  v0 -- v1;\n}\n'

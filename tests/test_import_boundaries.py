@@ -1,0 +1,64 @@
+"""The closed formula and the Hochster oracle are two independent routes to
+the same numbers; their agreement means something only while neither
+imports the other.  These tests read the import statements of the source.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import kneserhom
+
+PACKAGE_DIR = Path(kneserhom.__file__).resolve().parent
+
+
+def package_imports(module: str) -> set[str]:
+    """Modules of the package that module imports directly; "__init__"
+    stands for the package itself, which imports every route."""
+    tree = ast.parse((PACKAGE_DIR / f"{module}.py").read_text())
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if not node.level:
+                if parts[0] != "kneserhom":
+                    continue
+                parts = parts[1:]
+            if parts and parts[0]:
+                out.add(parts[0])
+            else:
+                # "from . import x": x may be a module or a package attribute
+                for alias in node.names:
+                    sibling = PACKAGE_DIR / f"{alias.name}.py"
+                    out.add(alias.name if sibling.exists() else "__init__")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "kneserhom":
+                    out.add(parts[1] if len(parts) > 1 else "__init__")
+    return out
+
+
+def reachable_imports(module: str) -> set[str]:
+    seen, todo = set(), [module]
+    while todo:
+        for dep in package_imports(todo.pop()) - seen:
+            seen.add(dep)
+            if dep != "__init__":
+                todo.append(dep)
+    return seen
+
+
+def test_import_reader_sees_relative_and_absolute_imports() -> None:
+    assert {"bounds", "closed_form", "hochster", "__init__"} <= package_imports("cli")
+    assert package_imports("hochster") >= {"combinatorics", "graphs", "config"}
+
+
+def test_closed_form_imports_only_combinatorics() -> None:
+    assert package_imports("closed_form") == {"combinatorics"}
+
+
+def test_hochster_never_reaches_the_formula_route() -> None:
+    reached = reachable_imports("hochster")
+    assert not reached & {"closed_form", "bounds", "__init__"}, reached
