@@ -305,7 +305,6 @@ def certify_induced_matching(m: int, k: int, s: int | None = None,
                              max_edges: int = 64) -> BoundReport:
     """Certified induced matching of size C(2k,k), plus the exact induced
     matching number when the exhaustive search fits the guards."""
-    check_mk(m, k)
     kn = build(m, k, guards)
     g = kn.graph
     if s is None:
@@ -362,7 +361,6 @@ def certify_cochordal_cover(m: int, k: int, variant: str = STAR_VARIANT,
                             guards: Guards = DEFAULT_GUARDS) -> BoundReport:
     """Certified cover of the edge set by co-chordal subgraphs; the member
     count upper-bounds the regularity."""
-    check_mk(m, k)
     kn = build(m, k, guards)
     g = kn.graph
     if variant == STAR_VARIANT:
@@ -411,7 +409,6 @@ def certify_domination(m: int, k: int, s: int | None = None,
                        guards: Guards = DEFAULT_GUARDS) -> BoundReport:
     """Certified independent dominating set of size C(2k,k); the exact
     independent domination number is attached when the search completes."""
-    check_mk(m, k)
     kn = build(m, k, guards)
     g = kn.graph
     if kn.is_ladder:
@@ -467,7 +464,6 @@ def certify_gamma_demand(m: int, k: int, q: int | None = None,
                          guards: Guards = DEFAULT_GUARDS) -> BoundReport:
     """Certified demand family: gamma_of(D) for the right-side demand D of
     supersets of a (k-1)-set Q, with the (k+1)-element witness family."""
-    check_mk(m, k)
     kn = build(m, k, guards)
     g = kn.graph
     if q is None:

@@ -18,39 +18,41 @@ from . import __version__
 from . import bounds as bounds_mod
 from . import closed_form, export, hochster, kneser
 from .combinatorics import binom, mask_of
-from .config import ENV_PREFIX, GuardExceeded, Guards
+from .config import ENV_PREFIX, GUARD_NAMES, GuardExceeded, Guards
 
 
 def _guards_from(args) -> Guards:
-    base = Guards.from_env()
-    return base.with_overrides(
-        max_subsets=args.max_subsets,
-        max_faces=args.max_faces,
-        max_matrix_cells=args.max_matrix_cells,
-        max_search_nodes=args.max_search_nodes,
-    )
+    return Guards.from_env().with_overrides(
+        **{name: getattr(args, name) for name in GUARD_NAMES})
 
 
-def _cache_dir(args) -> Path | None:
-    if args.cache_dir:
-        return Path(args.cache_dir)
-    env = os.environ.get(ENV_PREFIX + "CACHE_DIR")
-    return Path(env) if env else None
+# Arguments that do not change the text a successful command prints stay
+# out of the cache key.
+_NOT_IN_KEY = {"func", "cache_dir", "threads", *GUARD_NAMES}
 
 
-def _cache_fetch(cache: Path | None, key_obj: dict, parse):
-    """(parse(entry), path) on a hit.  A missing entry, or one that parse
-    rejects, is a miss: (None, path), and the caller overwrites it."""
-    if cache is None:
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _cache_fetch(args):
+    """(text, path) on a hit.  An entry that is missing, unreadable, or whose
+    text does not match its SHA-256 is a miss: (None, path), and the caller
+    overwrites it.  (None, None) when no cache directory is configured."""
+    root = args.cache_dir or os.environ.get(ENV_PREFIX + "CACHE_DIR")
+    if not root:
         return None, None
-    key_obj = {**key_obj, "version": __version__}
-    key = hashlib.sha256(json.dumps(key_obj, sort_keys=True).encode()).hexdigest()
-    path = cache / f"{key}.json"
+    key = {k: v for k, v in vars(args).items() if k not in _NOT_IN_KEY}
+    key["version"] = __version__
+    path = Path(root) / f"{_digest(json.dumps(key, sort_keys=True))}.json"
     try:
-        return parse(path.read_text()), path
+        entry = json.loads(path.read_text())
+        if _digest(entry["stdout"]) == entry["sha256"]:
+            return entry["stdout"], path
     except (FileNotFoundError, ValueError, LookupError, TypeError,
             AttributeError):
-        return None, path
+        pass
+    return None, path
 
 
 def _cache_store(path: Path | None, text: str) -> None:
@@ -59,8 +61,19 @@ def _cache_store(path: Path | None, text: str) -> None:
     if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_suffix(f".{os.getpid()}.tmp")
-        tmp.write_text(text)
+        tmp.write_text(json.dumps({"sha256": _digest(text), "stdout": text}))
         os.replace(tmp, path)
+
+
+def _cached(args, produce) -> int:
+    """Print the text produce() returns, served from the cache when the
+    cache holds it."""
+    text, path = _cache_fetch(args)
+    if text is None:
+        text = produce()
+        _cache_store(path, text)
+    print(text, end="")
+    return 0
 
 
 def _parse_subset(raw: str | None) -> int | None:
@@ -146,52 +159,37 @@ def cmd_betti_linear(args) -> int:
     return 0 if ok else 1
 
 
-def _table_from(stored: str) -> hochster.BettiTable:
-    obj = json.loads(stored)
-    return hochster.betti_table_from_json(json.dumps(obj["table"]), n=obj["n"])
-
-
 def cmd_betti_table(args) -> int:
     guards = _guards_from(args)
-    cache = _cache_dir(args)
-    key = {"command": "betti-table", "m": args.m, "k": args.k, "char": args.char}
-    table, path = _cache_fetch(cache, key, _table_from)
-    if table is None:
+
+    def produce() -> str:
         g = kneser.build(args.m, args.k, guards).graph
         table = hochster.full_betti_oracle(g, field_char=args.char, guards=guards)
-        stored = json.dumps({"n": table.n,
-                             "table": json.loads(hochster.betti_table_to_json(table))},
-                            indent=2, sort_keys=True)
-        _cache_store(path, stored)
-    if args.output == "json":
-        print(hochster.betti_table_to_json(table))
-    else:
-        print(f"Betti table of R/I(H({args.m},{args.k})), characteristic {args.char}")
-        print(hochster.betti_table_triangle(table), end="")
-        print(f"pd  = {hochster.pd_of(table)}")
-        print(f"reg = {hochster.reg_of(table)}")
-    return 0
+        if args.output == "json":
+            return hochster.betti_table_to_json(table) + "\n"
+        return (f"Betti table of R/I(H({args.m},{args.k})), characteristic {args.char}\n"
+                f"{hochster.betti_table_triangle(table)}"
+                f"pd  = {hochster.pd_of(table)}\n"
+                f"reg = {hochster.reg_of(table)}\n")
+
+    return _cached(args, produce)
 
 
-def _render_report_text(obj: dict) -> str:
-    lines = [f"invariant : {obj['invariant']}"]
-    params = ", ".join(f"{k}={v}" for k, v in sorted(obj["params"].items()))
-    lines.append(f"params    : {params}")
-    lines.append(f"lower     : {obj['lower']}")
-    lines.append(f"upper     : {obj['upper']}")
-    lines.append(f"exact     : {obj['exact'] if obj['exact'] is not None else '-'}")
-    for cert in obj["certificates"]:
+def _render_report(report: bounds_mod.BoundReport, output: str) -> str:
+    if output == "json":
+        return report.to_json() + "\n"
+    params = ", ".join(f"{k}={v}" for k, v in sorted(report.params.items()))
+    lines = [f"invariant : {report.invariant}",
+             f"params    : {params}",
+             f"lower     : {report.lower}",
+             f"upper     : {report.upper}",
+             f"exact     : {'-' if report.exact is None else report.exact}"]
+    for cert in report.certificates:
         checks = ", ".join(f"{name}={'ok' if ok else 'FAIL'}"
-                           for name, ok in sorted(cert["checks"].items()))
-        lines.append(f"certificate {cert['kind']}: {checks}")
-    for a in obj["anchors"]:
-        lines.append(f"  - {a}")
-    return "\n".join(lines)
-
-
-def _report_from(stored: str) -> tuple[str, str]:
-    """A report's JSON text and its text rendering."""
-    return stored, _render_report_text(json.loads(stored))
+                           for name, ok in sorted(cert.checks))
+        lines.append(f"certificate {cert.kind}: {checks}")
+    lines += [f"  - {a}" for a in report.anchors]
+    return "\n".join(lines) + "\n"
 
 
 def cmd_bounds(args) -> int:
@@ -201,22 +199,14 @@ def cmd_bounds(args) -> int:
         report = bounds_mod.pd_bounds(args.m, args.k)
     else:
         report = bounds_mod.reg_power_bounds(args.m, args.k, args.p)
-    text = report.to_json()
-    if args.output == "json":
-        print(text)
-    else:
-        print(_render_report_text(json.loads(text)))
+    print(_render_report(report, args.output), end="")
     return 0
 
 
 def cmd_certify(args) -> int:
     guards = _guards_from(args)
-    cache = _cache_dir(args)
-    key = {"command": "certify", "m": args.m, "k": args.k, "kind": args.kind,
-           "s": args.s, "j": args.j, "t": args.t, "q": args.q,
-           "variant": args.variant}
-    entry, path = _cache_fetch(cache, key, _report_from)
-    if entry is None:
+
+    def produce() -> str:
         s = _parse_subset(args.s)
         q = _parse_subset(args.q)
         if args.kind == "matching":
@@ -234,11 +224,9 @@ def cmd_certify(args) -> int:
         else:
             report = bounds_mod.certify_gamma_demand(args.m, args.k, q, s,
                                                      guards=guards)
-        entry = _report_from(report.to_json())
-        _cache_store(path, entry[0])
-    stored, rendered = entry
-    print(stored if args.output == "json" else rendered)
-    return 0
+        return _render_report(report, args.output)
+
+    return _cached(args, produce)
 
 
 def cmd_export(args) -> int:
@@ -267,10 +255,9 @@ def _parser() -> argparse.ArgumentParser:
                         help="accepted for compatibility; has no effect")
     common.add_argument("--cache-dir", default=None,
                         help="directory for cached results")
-    for guard in ("max-subsets", "max-faces", "max-matrix-cells", "max-search-nodes"):
-        common.add_argument(f"--{guard}", type=int, default=None,
-                            dest=guard.replace("-", "_"),
-                            help=f"override the {guard.replace('-', '_')} guard")
+    for name in GUARD_NAMES:
+        common.add_argument(f"--{name.replace('_', '-')}", type=int, default=None,
+                            help=f"override the {name} guard")
 
     p = argparse.ArgumentParser(
         prog="kneserhom",

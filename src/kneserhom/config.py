@@ -11,7 +11,7 @@ or the corresponding CLI flags.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 ENV_PREFIX = "KNESERHOM_"
 
@@ -52,13 +52,14 @@ class Guards:
         """Build defaults overridden by KNESERHOM_MAX_* environment variables."""
         environ = os.environ if environ is None else environ
         values = {}
-        for field in ("max_subsets", "max_faces", "max_matrix_cells", "max_search_nodes"):
-            raw = environ.get(ENV_PREFIX + field.upper())
+        for field in fields(cls):
+            env = ENV_PREFIX + field.name.upper()
+            raw = environ.get(env)
             if raw is not None:
                 try:
-                    values[field] = int(raw)
+                    values[field.name] = int(raw)
                 except ValueError as exc:
-                    raise ValueError(f"{ENV_PREFIX + field.upper()} must be an integer, got {raw!r}") from exc
+                    raise ValueError(f"{env} must be an integer, got {raw!r}") from exc
         return cls(**values)
 
     def check(self, guard: str, needed: int, context: str) -> None:
@@ -72,3 +73,5 @@ class Guards:
 
 
 DEFAULT_GUARDS = Guards()
+# The guard names, declared once by the fields of Guards.
+GUARD_NAMES = tuple(field.name for field in fields(Guards))

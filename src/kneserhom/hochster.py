@@ -114,12 +114,10 @@ def linear_strand_oracle(g: Graph, i: int, threads: int = 1,
 
 @dataclass(frozen=True)
 class ComplexSlice:
-    """Faces of the independence complex of host restricted to w, stratified
-    by cardinality: strata[c] lists the c-element faces as sorted vertex
-    masks.  strata[0] is the empty face; a void complex has no strata."""
+    """Faces of an independence complex, stratified by cardinality:
+    strata[c] lists the c-element faces as sorted vertex masks.  strata[0] is
+    the empty face; a void complex has no strata."""
 
-    host: Graph
-    w: int
     strata: tuple[tuple[int, ...], ...]
 
     def face_count(self) -> int:
@@ -152,7 +150,7 @@ def enumerate_faces(g: Graph, w: int, guards: Guards = DEFAULT_GUARDS) -> Comple
             rec(cand & ~adj[low.bit_length() - 1], f, size + 1)
 
     rec(w, 0, 0)
-    return ComplexSlice(g, w, tuple(tuple(sorted(s)) for s in strata))
+    return ComplexSlice(tuple(tuple(sorted(s)) for s in strata))
 
 
 def _boundary_columns(lower: tuple[int, ...], upper: tuple[int, ...]):
@@ -361,14 +359,6 @@ def betti_table_to_json(t: BettiTable) -> str:
         ],
     }
     return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def betti_table_from_json(text: str, n: int | None = None) -> BettiTable:
-    data = json.loads(text)
-    entries = {(e["i"], e["j"]): int(e["value"]) for e in data["entries"]}
-    if n is None:
-        n = max((j for _, j in entries), default=0)
-    return BettiTable(n=n, field_char=data["char"], entries=entries)
 
 
 def betti_table_triangle(t: BettiTable) -> str:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -206,6 +207,7 @@ def test_certify_cache_round_trip(capsys, tmp_path) -> None:
     "garbage{", "", "[1]", "{}",
     '{"n": 6, "table": {"char": 2, "entries": [{"i": 0}]}}',
     '{"params": [], "invariant": "x"}',
+    '{"sha256": "0", "stdout": 2}',
 ])
 def test_unreadable_cache_entry_is_recomputed(capsys, tmp_path, argv,
                                               garbage) -> None:
@@ -220,6 +222,42 @@ def test_unreadable_cache_entry_is_recomputed(capsys, tmp_path, argv,
     assert list(tmp_path.iterdir()) == [entry]
     assert entry.read_text() != garbage
     assert run(capsys, *cached)[:2] == (0, fresh)
+
+
+# A field of the printed JSON, matched in the entry file whether that JSON
+# is stored as an object or as an escaped string.
+@pytest.mark.parametrize("argv,field,old,new", [
+    (("betti-table", "3", "1", "--output", "json"), "value", "6", "7"),
+    (("certify", "5", "2", "--kind", "gamma", "--output", "json"),
+     "exact", "3", "99"),
+])
+def test_edited_cache_entry_is_recomputed(capsys, tmp_path, argv, field,
+                                          old, new) -> None:
+    _, fresh, _ = run(capsys, *argv)
+    cached = (*argv, "--cache-dir", str(tmp_path))
+    run(capsys, *cached)
+    [entry] = tmp_path.iterdir()
+    stored = entry.read_text()
+    edited, count = re.subn(rf'({field}\\?": \\?"){old}(?=\\?")',
+                            rf"\g<1>{new}", stored, count=1)
+    assert count == 1
+    json.loads(edited)  # the edit leaves a well-formed entry
+    entry.write_text(edited)
+    assert run(capsys, *cached)[:2] == (0, fresh)
+    assert entry.read_text() == stored
+    assert run(capsys, *cached)[:2] == (0, fresh)
+
+
+def test_text_and_json_forms_have_their_own_entries(capsys, tmp_path) -> None:
+    argv = ("certify", "5", "2", "--kind", "gamma")
+    fresh = {out: run(capsys, *argv, "--output", out)[1]
+             for out in ("text", "json")}
+    assert fresh["text"] != fresh["json"]
+    for _ in range(2):  # a miss, then a hit, for each form
+        for out in ("text", "json"):
+            assert run(capsys, *argv, "--output", out, "--cache-dir",
+                       str(tmp_path))[:2] == (0, fresh[out])
+    assert len(list(tmp_path.iterdir())) == 2
 
 
 def test_cache_key_includes_package_version(capsys, tmp_path,
