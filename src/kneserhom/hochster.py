@@ -3,9 +3,13 @@
 For a graph G on n vertices with edge ideal I(G), the (i, j) Betti number of
 R/I(G) over a field of the given characteristic is the sum, over all vertex
 subsets W of size j, of dim H~_{j-i-1} of the independence complex of G
-restricted to W.  This module computes that sum directly: it enumerates
-induced independence complexes, builds boundary matrices, and takes exact
-ranks.  It shares no code path with the closed-form side, which is the point.
+restricted to W.  This module computes that sum from the slices themselves:
+it enumerates induced independence complexes, builds boundary matrices, and
+takes exact ranks.  The linear strand sums component counts over every
+(i+1)-subset.  The full table takes one W per orbit of the graph's verified
+automorphisms (see `symmetry`), since isomorphic slices have equal homology,
+and weights it by the orbit's size.  It shares no code path with the
+closed-form side, which is the point.
 
 Conventions: the empty face is a face of every nonvoid complex; the complex
 { {} } has dim H~_{-1} = 1 and the void complex contributes nothing anywhere.
@@ -25,6 +29,7 @@ from math import comb, gcd
 from .combinatorics import _next_same_popcount, bit_indices
 from .config import DEFAULT_GUARDS, Guards
 from .graphs import Graph, complement
+from .symmetry import automorphisms, orbits
 
 
 def _is_prime(p: int) -> bool:
@@ -302,7 +307,14 @@ def _has_isolated(adj, w: int) -> bool:
 
 def full_betti_oracle(g: Graph, field_char: int = 2,
                       guards: Guards = DEFAULT_GUARDS) -> BettiTable:
-    """The whole Betti table by Hochster's formula, every W enumerated.
+    """The whole Betti table by Hochster's formula, summed over the orbits
+    of the verified automorphisms of g on its vertex subsets.
+
+    An automorphism s maps G[W] isomorphically onto G[s(W)], so the two
+    slices have the same reduced homology and the same size; each orbit's
+    smallest W stands for all of it, weighted by the orbit's size.  The
+    generators are those of `symmetry.automorphisms`, each checked against
+    g's adjacency; with none, every W is its own orbit.
 
     Refuses loudly (before doing real work) when 2^n or the face count of
     the full independence complex exceeds the guards."""
@@ -320,7 +332,7 @@ def full_betti_oracle(g: Graph, field_char: int = 2,
                      f"boundary map {c + 1} of the full independence complex")
     adj = g.adj
     entries: dict = {}
-    for w in range(1 << n):
+    for w, size in orbits(n, automorphisms(adj)):
         if _has_isolated(adj, w):
             continue
         sl = enumerate_faces(g, w, guards)
@@ -329,7 +341,7 @@ def full_betti_oracle(g: Graph, field_char: int = 2,
         for c, hd in enumerate(h):
             if hd:
                 key = (j - c, j)
-                entries[key] = entries.get(key, 0) + hd
+                entries[key] = entries.get(key, 0) + hd * size
     return BettiTable(n=n, field_char=field_char, entries=entries)
 
 

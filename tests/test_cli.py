@@ -141,6 +141,19 @@ def test_betti_table_cache_round_trip(capsys, tmp_path) -> None:
     assert list(tmp_path.glob("*.json")) == files
 
 
+def test_cache_hit_does_not_check_the_guards(capsys, tmp_path) -> None:
+    # A hit enumerates nothing, so no guard can refuse it; the same request
+    # without the cache computes afresh and is refused.
+    argv = ("betti-table", "4", "1")
+    cache = ("--cache-dir", str(tmp_path))
+    code, fresh, _ = run(capsys, *argv, *cache)
+    assert code == 0
+    assert run(capsys, *argv, "--max-faces", "5", *cache)[:2] == (0, fresh)
+    code, out, err = run(capsys, *argv, "--max-faces", "5")
+    assert (code, out) == (3, "")
+    assert "max_faces" in err
+
+
 def test_bounds_reg(capsys) -> None:
     code, out, _ = run(capsys, "bounds", "5", "2", "--invariant", "reg",
                        "--output", "json")

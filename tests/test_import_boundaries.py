@@ -52,11 +52,16 @@ def reachable_imports(module: str) -> set[str]:
 
 def test_import_reader_sees_relative_and_absolute_imports() -> None:
     assert {"bounds", "closed_form", "hochster", "__init__"} <= package_imports("cli")
-    assert package_imports("hochster") >= {"combinatorics", "graphs", "config"}
+    assert package_imports("hochster") >= {"combinatorics", "graphs", "config",
+                                           "symmetry"}
 
 
 def test_closed_form_imports_only_combinatorics() -> None:
     assert package_imports("closed_form") == {"combinatorics"}
+
+
+def test_symmetry_imports_only_combinatorics() -> None:
+    assert package_imports("symmetry") == {"combinatorics"}
 
 
 def test_hochster_never_reaches_the_formula_route() -> None:
