@@ -13,9 +13,8 @@ from .bounds import (BoundReport, Certificate, CertificateError,
 from .closed_form import LinearStrand, betti_linear, linear_strand
 from .combinatorics import binom, colex_rank, colex_unrank, k_subsets, n_exact, n_exact_oracle
 from .config import DEFAULT_GUARDS, GuardExceeded, Guards
-from .graphs import (Graph, Side, complement, components, induced,
-                     induced_matching_number, is_chordal, is_cochordal,
-                     neighborhood, three_disjoint)
+from .graphs import (Graph, Side, complement, induced, induced_matching_number,
+                     is_chordal, is_cochordal, neighborhood, three_disjoint)
 from .hochster import (BettiTable, enumerate_faces, full_betti_oracle,
                        linear_strand_oracle, pd_of, reduced_h0,
                        reduced_homology_dims, reg_of)
@@ -30,7 +29,7 @@ __all__ = [
     "LinearStrand", "Side", "betti_linear", "binom", "build",
     "certify_cochordal_cover", "certify_domination", "certify_gamma_demand",
     "certify_induced_matching", "colex_rank", "colex_unrank", "complement",
-    "components", "double_star_cover", "dominating_w", "e_s_family",
+    "double_star_cover", "dominating_w", "e_s_family",
     "enumerate_faces", "full_betti_oracle", "gamma_demand_family", "gamma_of",
     "independent_domination_number", "induced", "induced_matching_number",
     "is_chordal", "is_cochordal", "k_subsets", "linear_strand",

@@ -17,7 +17,7 @@ from pathlib import Path
 from . import __version__
 from . import bounds as bounds_mod
 from . import closed_form, export, hochster, kneser
-from .combinatorics import binom, mask_of
+from .combinatorics import binom, check_mk, mask_of
 from .config import ENV_PREFIX, GUARD_NAMES, GuardExceeded, Guards
 
 
@@ -76,15 +76,19 @@ def _cached(args, produce) -> int:
     return 0
 
 
-def _parse_subset(raw: str | None) -> int | None:
-    """Comma-separated 1-based elements -> mask; empty string means the empty set."""
+def _parse_subset(raw: str | None, m: int) -> int | None:
+    """Comma-separated elements of [m] -> mask; empty string means the empty
+    set.  An element above m is refused before its mask is allocated."""
     if raw is None:
         return None
     raw = raw.strip()
     if not raw:
         return 0
     try:
-        return mask_of(int(tok) for tok in raw.split(","))
+        elements = [int(tok) for tok in raw.split(",")]
+        if max(elements) > m:
+            raise ValueError(f"element {max(elements)} is above m = {m}")
+        return mask_of(elements)
     except ValueError as exc:
         raise ValueError(f"bad subset {raw!r}: {exc}") from exc
 
@@ -95,24 +99,29 @@ def _parse_subset(raw: str | None) -> int | None:
 
 
 def cmd_info(args) -> int:
-    kn = kneser.build(args.m, args.k, _guards_from(args))
+    # Closed forms: C(m,k) vertices per side, each of degree C(m-k,k).
+    check_mk(args.m, args.k)
+    n_left = binom(args.m, args.k)
+    _guards_from(args).check("max_subsets", 2 * n_left,
+                             f"build H({args.m},{args.k})")
     degree = binom(args.m - args.k, args.k)
+    ladder = args.m == 2 * args.k
     data = {
         "m": args.m,
         "k": args.k,
-        "vertices": 2 * kn.n_left,
-        "edges": kn.graph.edge_count(),
+        "vertices": 2 * n_left,
+        "edges": n_left * degree,
         "degree": degree,
-        "ladder": kn.is_ladder,
+        "ladder": ladder,
     }
     if args.output == "json":
         print(json.dumps(data, indent=2, sort_keys=True))
     else:
         print(f"H({args.m},{args.k}): bipartite Kneser graph")
-        print(f"  vertices : {data['vertices']} ({kn.n_left} per side)")
+        print(f"  vertices : {data['vertices']} ({n_left} per side)")
         print(f"  edges    : {data['edges']}")
         print(f"  regular degree : {degree}")
-        print(f"  ladder (m = 2k): {'yes' if kn.is_ladder else 'no'}")
+        print(f"  ladder (m = 2k): {'yes' if ladder else 'no'}")
     return 0
 
 
@@ -207,8 +216,8 @@ def cmd_certify(args) -> int:
     guards = _guards_from(args)
 
     def produce() -> str:
-        s = _parse_subset(args.s)
-        q = _parse_subset(args.q)
+        s = _parse_subset(args.s, args.m)
+        q = _parse_subset(args.q, args.m)
         if args.kind == "matching":
             report = bounds_mod.certify_induced_matching(args.m, args.k, s,
                                                          guards=guards)

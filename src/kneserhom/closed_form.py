@@ -54,21 +54,12 @@ class LinearStrand:
     values: tuple[int, ...]  # values[i - 1] = beta_{i, i+1}
 
     @property
-    def i_max(self) -> int:
-        return len(self.values)
-
-    @property
     def support_end(self) -> int:
         last = 0
         for i, v in enumerate(self.values, start=1):
             if v != 0:
                 last = i
         return last
-
-    def value(self, i: int) -> int:
-        if not 1 <= i <= self.i_max:
-            raise ValueError(f"i must be in 1..{self.i_max}, got {i}")
-        return self.values[i - 1]
 
 
 def linear_strand(m: int, k: int, i_max: int) -> LinearStrand:

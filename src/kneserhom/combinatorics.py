@@ -13,8 +13,6 @@ from math import comb
 
 from .config import DEFAULT_GUARDS, Guards
 
-MAX_GROUND = 62  # masks of subsets of [m] must fit comfortably in one word
-
 
 def binom(n: int, k: int) -> int:
     """C(n, k) with the convention C(n, k) = 0 for k < 0 or k > n.
@@ -52,11 +50,12 @@ def elements_of(mask: int) -> tuple[int, ...]:
 
 
 def mask_of(elements) -> int:
-    """Mask of a collection of 1-based elements; rejects out-of-range or dupes."""
+    """Mask of a collection of 1-based elements; rejects elements below 1
+    and duplicates."""
     mask = 0
     for e in elements:
-        if not 1 <= e <= MAX_GROUND:
-            raise ValueError(f"element {e} outside 1..{MAX_GROUND}")
+        if e < 1:
+            raise ValueError(f"element {e} is below 1")
         bit = 1 << (e - 1)
         if mask & bit:
             raise ValueError(f"duplicate element {e}")
@@ -78,8 +77,8 @@ def _next_same_popcount(v: int) -> int:
 
 def k_subsets(m: int, k: int):
     """Yield all k-subsets of [m] as masks, in colex (= numeric) order."""
-    if not 0 <= m <= MAX_GROUND:
-        raise ValueError(f"k_subsets: need 0 <= m <= {MAX_GROUND}, got m={m}")
+    if m < 0:
+        raise ValueError(f"k_subsets: need m >= 0, got m={m}")
     if k < 0 or k > m:
         raise ValueError(f"k_subsets: need 0 <= k <= m, got k={k}, m={m}")
     if k == 0:

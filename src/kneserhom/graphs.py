@@ -106,25 +106,6 @@ def closed_neighborhood(g: Graph, x: int) -> int:
     return neighborhood(g, x) | x
 
 
-def components(g: Graph) -> tuple[int, ...]:
-    """Connected components as vertex masks, ordered by lowest contained id."""
-    out = []
-    remaining = g.full_mask
-    while remaining:
-        start = remaining & -remaining
-        comp = start
-        frontier = start
-        while frontier:
-            nxt = 0
-            for v in bit_indices(frontier):
-                nxt |= g.adj[v]
-            frontier = nxt & remaining & ~comp
-            comp |= frontier
-        out.append(comp)
-        remaining &= ~comp
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # chordality
 # ---------------------------------------------------------------------------
@@ -132,14 +113,11 @@ def components(g: Graph) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Chordality:
-    """Outcome of a chordality test, always carrying a checkable witness:
-    a perfect elimination order when chordal, a chordless cycle of length
-    >= 4 when not.
-    """
+    """Outcome of a chordality test; when chordal it carries a perfect
+    elimination order the caller can re-verify independently."""
 
     chordal: bool
     peo: tuple[int, ...] | None = None
-    chordless_cycle: tuple[int, ...] | None = None
 
     def __bool__(self) -> bool:
         return self.chordal
@@ -163,9 +141,9 @@ def _mcs_order(g: Graph) -> list[int]:
     return order
 
 
-def _verify_peo(g: Graph, peo) -> tuple[int, int, int] | None:
-    """None if peo is a perfect elimination order, else a violating triple
-    (v, f, w): f, w are later neighbours of v with f the earliest, f !~ w."""
+def _is_peo(g: Graph, peo) -> bool:
+    # Each vertex's later neighbours must all be adjacent to the earliest
+    # of them.
     pos = [0] * g.n
     for i, v in enumerate(peo):
         pos[v] = i
@@ -174,61 +152,20 @@ def _verify_peo(g: Graph, peo) -> tuple[int, int, int] | None:
         if len(later) < 2:
             continue
         f = min(later, key=lambda u: pos[u])
-        for w in later:
-            if w != f and not g.has_edge(f, w):
-                return (v, f, w)
-    return None
-
-
-def _bfs_path(g: Graph, allowed: int, src: int, dst: int) -> list[int] | None:
-    # Shortest src-dst path inside the allowed vertex mask; None if disconnected.
-    parent = {src: -1}
-    frontier = [src]
-    seen = 1 << src
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for u in bit_indices(g.adj[v] & allowed & ~seen):
-                parent[u] = v
-                seen |= 1 << u
-                if u == dst:
-                    path = [u]
-                    while parent[path[-1]] != -1:
-                        path.append(parent[path[-1]])
-                    return path[::-1]
-                nxt.append(u)
-        frontier = nxt
-    return None
-
-
-def _find_chordless_cycle(g: Graph) -> tuple[int, ...] | None:
-    # Any induced cycle of length >= 4 passes through a vertex v whose two
-    # cycle neighbours x, y are nonadjacent, the rest of the cycle avoiding
-    # N[v]; scanning all such triples is therefore complete.
-    full = g.full_mask
-    for v in range(g.n):
-        nbrs = bit_indices(g.adj[v])
-        for ai in range(len(nbrs)):
-            for bi in range(ai + 1, len(nbrs)):
-                x, y = nbrs[ai], nbrs[bi]
-                if g.has_edge(x, y):
-                    continue
-                allowed = (full & ~(g.adj[v] | 1 << v)) | 1 << x | 1 << y
-                path = _bfs_path(g, allowed, x, y)
-                if path is not None:
-                    return tuple([v] + path)
-    return None
+        if any(w != f and not g.has_edge(f, w) for w in later):
+            return False
+    return True
 
 
 def is_chordal(g: Graph) -> Chordality:
-    """Chordality via maximum cardinality search.  The returned order or
-    cycle is a witness the caller can re-verify independently."""
+    """Chordality via maximum cardinality search.  The reversed MCS order
+    is a perfect elimination order exactly when g is chordal (Tarjan and
+    Yannakakis, SIAM J. Comput. 13, 1984), so a failed check of that one
+    order is a proof of non-chordality."""
     peo = tuple(reversed(_mcs_order(g)))
-    if _verify_peo(g, peo) is None:
+    if _is_peo(g, peo):
         return Chordality(True, peo=peo)
-    cycle = _find_chordless_cycle(g)
-    assert cycle is not None, "MCS order rejected but no chordless cycle found"
-    return Chordality(False, chordless_cycle=cycle)
+    return Chordality(False)
 
 
 def is_cochordal(g: Graph) -> bool:

@@ -13,9 +13,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .combinatorics import (MAX_GROUND, binom, bit_indices, check_mk,
-                            colex_rank, colex_unrank, elements_of, k_subsets,
-                            mask_of, subset_str)
+from .combinatorics import (binom, bit_indices, check_mk, colex_rank,
+                            colex_unrank, elements_of, k_subsets, mask_of,
+                            subset_str)
 from .config import DEFAULT_GUARDS, Guards
 from .graphs import Graph, Side
 
@@ -61,16 +61,11 @@ class KneserGraph:
     def left_mask(self) -> int:
         return (1 << self.n_left) - 1
 
-    @property
-    def right_mask(self) -> int:
-        return ((1 << self.n_left) - 1) << self.n_left
-
 
 def build(m: int, k: int, guards: Guards = DEFAULT_GUARDS) -> KneserGraph:
-    """Construct H(m, k).  Requires 1 <= k, 2k <= m <= 62."""
+    """Construct H(m, k).  Requires 1 <= k, 2k <= m; the max_subsets guard
+    bounds the size."""
     check_mk(m, k)
-    if m > MAX_GROUND:
-        raise ValueError(f"build: m must be <= {MAX_GROUND}, got {m}")
     n_left = binom(m, k)
     guards.check("max_subsets", 2 * n_left, f"build H({m},{k})")
     full = (1 << m) - 1

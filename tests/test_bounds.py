@@ -11,6 +11,7 @@ from kneserhom.bounds import (
     BoundReport,
     Certificate,
     CertificateError,
+    _maximal_independent_sets,
     certify_cochordal_cover,
     certify_domination,
     certify_gamma_demand,
@@ -23,6 +24,7 @@ from kneserhom.bounds import (
     tau_of,
 )
 from kneserhom.combinatorics import binom, mask_of
+from kneserhom.config import Guards
 from kneserhom.graphs import Graph, bit_indices
 from kneserhom.hochster import full_betti_oracle, pd_of, reg_of
 from kneserhom.kneser import build, gamma_demand_family
@@ -200,7 +202,7 @@ def test_gamma_of_full_right_side_cube() -> None:
     # two left singletons suffice and one covers only three of the four.
     kn = build(4, 1)
     demand, witnesses = gamma_demand_family(kn, 0, mask_of([1, 2]))
-    assert demand == kn.right_mask
+    assert demand == kn.graph.full_mask & ~kn.left_mask
     res = gamma_of(kn.graph, demand)
     assert res.value == 2
     assert len(witnesses) == 2
@@ -250,6 +252,18 @@ def test_independent_domination_witness_is_valid() -> None:
     for v in bit_indices(w):
         dominated |= g.adj[v]
     assert dominated == g.full_mask
+
+
+@given(random_graphs())
+@settings(max_examples=100, deadline=None)
+def test_maximal_independent_sets_match_networkx(g: Graph) -> None:
+    nx = pytest.importorskip("networkx")
+    # maximal independent sets of g are the maximal cliques of its complement
+    ref = nx.complete_graph(g.n)
+    ref.remove_edges_from(g.edges())
+    want = sorted(mask_of(v + 1 for v in clique)
+                  for clique in nx.find_cliques(ref))
+    assert _maximal_independent_sets(g, Guards()) == want
 
 
 def test_tau_examples() -> None:

@@ -10,6 +10,7 @@ import pytest
 import kneserhom.cli
 import kneserhom.hochster
 from kneserhom.cli import main
+from kneserhom.kneser import build
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -32,6 +33,32 @@ def test_info_json(capsys) -> None:
     data = json.loads(out)
     assert data == {"m": 4, "k": 2, "vertices": 12, "edges": 6,
                     "degree": 1, "ladder": True}
+
+
+@pytest.mark.parametrize("m,k", [(m, k) for m in range(2, 11)
+                                 for k in range(1, m // 2 + 1)])
+def test_info_matches_the_built_graph(capsys, m: int, k: int) -> None:
+    # info prints closed forms; read the same numbers off the construction.
+    g = build(m, k).graph
+    code, out, _ = run(capsys, "info", str(m), str(k), "--output", "json")
+    assert code == 0
+    [degree] = {row.bit_count() for row in g.adj}
+    assert json.loads(out) == {"m": m, "k": k, "vertices": g.n,
+                               "edges": g.edge_count(), "degree": degree,
+                               "ladder": degree == 1}
+
+
+def test_info_has_no_cap_on_m(capsys) -> None:
+    code, out, _ = run(capsys, "info", "63", "1", "--output", "json")
+    assert code == 0
+    assert json.loads(out)["vertices"] == 126
+
+
+def test_subset_element_above_m_exits_2(capsys) -> None:
+    code, out, err = run(capsys, "certify", "5", "2", "--kind", "matching",
+                         "--s", "100")
+    assert (code, out) == (2, "")
+    assert "element 100 is above m = 5" in err
 
 
 def test_betti_linear_text(capsys) -> None:

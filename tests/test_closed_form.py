@@ -68,13 +68,7 @@ def test_param_validation() -> None:
 def test_linear_strand_container() -> None:
     ls = linear_strand(5, 2, 6)
     assert ls.values == (30, 60, 20, 0, 0, 0)
-    assert ls.i_max == 6
     assert ls.support_end == 3
-    assert ls.value(2) == 60
-    with pytest.raises(ValueError):
-        ls.value(0)
-    with pytest.raises(ValueError):
-        ls.value(7)
     assert LinearStrand(2, 1, (2, 0)).support_end == 1
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import random
 import time
 
 import pytest
@@ -13,6 +14,8 @@ from kneserhom.graphs import Graph
 from kneserhom.hochster import (
     BettiTable,
     ComplexSlice,
+    _boundary_columns,
+    _rank_exact_q,
     betti_table_to_json,
     betti_table_triangle,
     enumerate_faces,
@@ -194,6 +197,44 @@ def test_characteristic_agreement_on_random_slices(gw) -> None:
     h2 = reduced_homology_dims(sl, field_char=2)
     assert reduced_homology_dims(sl, field_char=0) == h2
     assert reduced_homology_dims(sl, field_char=3) == h2
+
+
+def _rank_q_reference(cols, n_rows: int) -> int:
+    sympy = pytest.importorskip("sympy")
+    if not cols or not n_rows:
+        return 0
+    dense = [[col.get(r, 0) for col in cols] for r in range(n_rows)]
+    return sympy.Matrix(dense).rank()
+
+
+def _boundary_ranks_agree(sl: ComplexSlice) -> None:
+    for lower, upper in zip(sl.strata, sl.strata[1:]):
+        cols = _boundary_columns(lower, upper)
+        assert _rank_exact_q(cols) == _rank_q_reference(cols, len(lower))
+
+
+@given(graph_and_mask())
+@settings(max_examples=60, deadline=None)
+def test_rank_over_q_matches_sympy_on_random_slices(gw) -> None:
+    g, w = gw
+    _boundary_ranks_agree(enumerate_faces(g, w))
+
+
+def test_rank_over_q_matches_sympy_on_kneser_slices(kn52) -> None:
+    rng = random.Random(52)
+    for _ in range(12):
+        w = 0
+        for v in rng.sample(range(kn52.graph.n), rng.randint(4, 9)):
+            w |= 1 << v
+        _boundary_ranks_agree(enumerate_faces(kn52.graph, w))
+
+
+@given(st.lists(st.dictionaries(st.integers(0, 5), st.integers(-4, 4),
+                                max_size=4), max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_rank_over_q_matches_sympy_on_integer_columns(cols) -> None:
+    # entries other than +-1 exercise the gcd scaling of the reduction
+    assert _rank_exact_q(cols) == _rank_q_reference(cols, 6)
 
 
 def test_cone_vertex_kills_homology() -> None:

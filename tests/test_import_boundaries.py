@@ -67,3 +67,15 @@ def test_symmetry_imports_only_combinatorics() -> None:
 def test_hochster_never_reaches_the_formula_route() -> None:
     reached = reachable_imports("hochster")
     assert not reached & {"closed_form", "bounds", "__init__"}, reached
+
+
+def test_all_is_exactly_what_init_imports() -> None:
+    # A name deleted from a module must leave __all__ too, and vice versa.
+    tree = ast.parse((PACKAGE_DIR / "__init__.py").read_text())
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                for alias in node.names}
+    [exported] = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                  and [t.id for t in node.targets] == ["__all__"]]
+    assert set(ast.literal_eval(exported)) == imported
+    assert len(kneserhom.__all__) == len(imported)

@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from kneserhom.combinatorics import binom, elements_of, mask_of
+from kneserhom.config import GuardExceeded, Guards
 from kneserhom.graphs import Side, bit_indices, is_cochordal, three_disjoint
 from kneserhom.kneser import (
     KneserGraph,
@@ -37,8 +38,10 @@ def test_build_rejects_bad_params() -> None:
         build(3, 0)
     with pytest.raises(ValueError):
         build(3, 2)
-    with pytest.raises(ValueError):
-        build(63, 1)
+    # No cap on m beyond the max_subsets guard.
+    assert build(70, 1).graph.n == 140
+    with pytest.raises(GuardExceeded):
+        build(70, 1, Guards(max_subsets=139))
 
 
 def test_edges_are_containments(kn52: KneserGraph) -> None:
