@@ -5,11 +5,14 @@ R/I(G) over a field of the given characteristic is the sum, over all vertex
 subsets W of size j, of dim H~_{j-i-1} of the independence complex of G
 restricted to W.  This module computes that sum from the slices themselves:
 it enumerates induced independence complexes, builds boundary matrices, and
-takes exact ranks.  The linear strand sums component counts over every
-(i+1)-subset.  The full table takes one W per orbit of the graph's verified
-automorphisms (see `symmetry`), since isomorphic slices have equal homology,
-and weights it by the orbit's size.  It shares no code path with the
-closed-form side, which is the point.
+takes exact ranks.  Both sums use the graph's verified automorphisms (see
+`symmetry`): an automorphism maps a slice onto an isomorphic one, with equal
+homology.  The full table takes one W per orbit on vertex subsets and weights
+it by the orbit's size.  The linear strand walks, for each vertex orbit, the
+(i+1)-subsets that hold the orbit's smallest vertex and no vertex of an
+earlier orbit, and weights each by the orbit's size over the number of the
+orbit's vertices it holds.  It shares no code path with the closed-form
+side, which is the point.
 
 Conventions: the empty face is a face of every nonvoid complex; the complex
 { {} } has dim H~_{-1} = 1 and the void complex contributes nothing anywhere.
@@ -24,12 +27,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 from .combinatorics import _next_same_popcount, bit_indices
 from .config import DEFAULT_GUARDS, Guards
 from .graphs import Graph, complement
-from .symmetry import automorphisms, orbits
+from .symmetry import automorphisms, orbits, vertex_orbits
 
 
 def _is_prime(p: int) -> bool:
@@ -90,26 +93,63 @@ def reduced_h0(g: Graph, w: int) -> int:
 
 def linear_strand_oracle(g: Graph, i: int, threads: int = 1,
                          guards: Guards = DEFAULT_GUARDS) -> int:
-    """beta_{i, i+1}(R/I(G)) by direct summation of dim H~_0 over all
-    (i+1)-subsets of the vertices, in colex order.
+    """beta_{i, i+1}(R/I(G)): the sum of dim H~_0 over all (i+1)-subsets W
+    of the vertices, taken over the vertex orbits O_1, O_2, ... of the
+    verified automorphisms of g, in order of smallest vertex.
 
-    threads is accepted and ignored: the sum is pure Python held by the
-    GIL, and it ran slower with a thread pool than without one."""
+    Each W is counted from the first orbit O_t it meets, split evenly over
+    the |W & O_t| vertices it holds there.  An automorphism preserves every
+    orbit, |W & O_t| and dim H~_0, so the share of every v in O_t is that
+    of the smallest vertex r: |O_t| times the sum, over the W that hold r
+    and no vertex of an earlier orbit, of dim H~_0 / |W & O_t|.  Only those
+    W are walked.  H(m, k) has one orbit, so the walk takes C(n-1, i)
+    subsets in place of C(n, i+1); a graph with no verified generator has n
+    singleton orbits, each of weight 1, which is the plain sum.
+
+    The max_subsets guard counts the C(n, i+1) subsets the sum stands for,
+    not the subsets it walks.  threads is accepted and ignored: the sum is
+    pure Python held by the GIL, and it ran slower with a thread pool than
+    without one."""
     if i < 1:
         raise ValueError(f"linear_strand_oracle: i must be >= 1, got {i}")
-    size = i + 1
-    total_subsets = comb(g.n, size)
+    n = g.n
+    total_subsets = comb(n, i + 1)
     if total_subsets == 0:
         return 0
     guards.check("max_subsets", total_subsets,
-                 f"linear strand i={i} on a {g.n}-vertex graph")
-    adjc = complement(g).adj
-    w = (1 << size) - 1
+                 f"linear strand i={i} on a {n}-vertex graph")
+    comp = complement(g).adj
+    parts = vertex_orbits(n, automorphisms(g.adj))
+    # Relabel so that each orbit is a run of consecutive ids: the W that
+    # avoid the orbits before O_t are then the subsets of the ids >= r.
+    new_id = [0] * n
+    for v, old in enumerate(u for part in parts for u in part):
+        new_id[old] = v
+    adjc = [0] * n
+    for old, row in enumerate(comp):
+        adjc[new_id[old]] = sum(1 << new_id[u] for u in bit_indices(row))
+    # sums[c] adds dim H~_0 over the walked W with |W & O_t| = c; the
+    # weighted total stays an exact integer in units of 1/scale.
+    scale = lcm(*range(1, i + 2))
     total = 0
-    for _ in range(total_subsets):
-        total += _component_count(adjc, w) - 1
-        w = _next_same_popcount(w)
-    return total
+    r = 0
+    for part in parts:
+        size = len(part)
+        in_orbit = ((1 << size) - 1) << r
+        sums = [0] * (i + 2)
+        first = 1 << r
+        rest = (1 << i) - 1
+        for _ in range(comb(n - 1 - r, i)):
+            w = first | rest << (r + 1)
+            sums[(w & in_orbit).bit_count()] += _component_count(adjc, w) - 1
+            rest = _next_same_popcount(rest)
+        total += size * sum(sums[c] * (scale // c) for c in range(1, i + 2))
+        r += size
+    value, remainder = divmod(total, scale)
+    if remainder:
+        raise RuntimeError(f"linear_strand_oracle: the orbit-weighted sum on a "
+                           f"{n}-vertex graph at i={i} is not an integer")
+    return value
 
 
 # ---------------------------------------------------------------------------

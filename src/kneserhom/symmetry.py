@@ -1,5 +1,5 @@
-"""Verified automorphisms of H(m, k) and the orbits they cut the vertex
-subsets into.
+"""Verified automorphisms of H(m, k) and the orbits they cut the vertices
+and the vertex subsets into.
 
 H(m, k) is vertex-transitive under S_m x Z_2: a permutation of [m] maps
 k-subsets to k-subsets and preserves containment, and the side swap
@@ -10,7 +10,8 @@ Nothing here is assumed about the graph it is handed.  Candidates are
 proposed for every (m, k) whose vertex count 2 C(m, k) matches, in the colex
 layout of `kneser.build`, and a candidate is kept only if it maps the
 adjacency onto itself.  A graph that is no H(m, k) in that layout keeps no
-generator, and then every vertex subset is its own orbit.
+generator, and then every vertex, and every vertex subset, is its own
+orbit.  H(m, k) itself has one vertex orbit.
 
 Permutations are tuples p of vertex ids, p[v] the image of v.
 """
@@ -88,6 +89,26 @@ def automorphisms(adj) -> list[tuple[int, ...]]:
         if all(adj[perm[v]] == _image(tables, row) for v, row in enumerate(adj)):
             kept.append(perm)
     return kept
+
+
+def vertex_orbits(n: int, generators) -> list[tuple[int, ...]]:
+    """The orbits of the group the generators span on the vertices 0..n-1,
+    each as a sorted tuple, in increasing order of smallest vertex."""
+    seen = bytearray(n)
+    out = []
+    for v in range(n):
+        if seen[v]:
+            continue
+        seen[v] = 1
+        orbit = [v]
+        for x in orbit:
+            for perm in generators:
+                y = perm[x]
+                if not seen[y]:
+                    seen[y] = 1
+                    orbit.append(y)
+        out.append(tuple(sorted(orbit)))
+    return out
 
 
 def orbits(n: int, generators):

@@ -45,7 +45,7 @@ def test_ladder_strand_is_edges_only() -> None:
 
 
 @pytest.mark.parametrize("m,k", [(2, 1), (3, 1), (4, 1), (5, 1),
-                                 (4, 2), (5, 2), (6, 3)])
+                                 (4, 2), (5, 2), (6, 2), (6, 3)])
 def test_formula_matches_oracle(m: int, k: int) -> None:
     g = build(m, k).graph
     for i in range(1, min(g.n - 1, 8) + 1):

@@ -100,6 +100,23 @@ def test_linear_strand_guard() -> None:
     assert "KNESERHOM_MAX_SUBSETS" in str(exc.value)
 
 
+def test_linear_strand_refuses_a_fractional_orbit_sum(monkeypatch) -> None:
+    # A 3-cycle passed off as an automorphism of the path 0-1-2 puts all
+    # three vertices in one orbit; the weighted sum is then 3/2.
+    monkeypatch.setattr("kneserhom.hochster.automorphisms", lambda adj: [(1, 2, 0)])
+    with pytest.raises(RuntimeError, match="3-vertex graph at i=1 is not an integer"):
+        linear_strand_oracle(Graph.from_edges(3, [(0, 1), (1, 2)]), 1)
+
+
+def test_linear_strand_guard_counts_every_subset_not_the_walk() -> None:
+    # H(6,2) at i = 5 walks C(29, 5) subsets but stands for C(30, 6)
+    tight = Guards(max_subsets=593_774)
+    with pytest.raises(GuardExceeded) as exc:
+        linear_strand_oracle(build(6, 2).graph, 5, guards=tight)
+    assert exc.value.needed == 593_775
+    assert "linear strand i=5 on a 30-vertex graph" in str(exc.value)
+
+
 def test_enumerate_faces_counts() -> None:
     # no edges: the full simplex
     assert enumerate_faces(empty_graph(4), 0b1111).face_count() == 16

@@ -1,22 +1,27 @@
-"""The symmetry module against plain edge sets, and the orbit-sum Betti
-tables against the brute-force sum over every vertex subset.
+"""The symmetry module against plain edge sets, and the orbit sums of
+`hochster` against brute-force sums over every vertex subset.
 
 A random relabelling of H(m, k) keeps none of the candidate generators, so
 `full_betti_oracle` sums it over 2^n one-subset orbits: that is the brute
-force, run on an isomorphic graph whose table must be the same.
+force, run on an isomorphic graph whose table must be the same.  The linear
+strand is checked against a union-find count written here, sharing no code
+with `hochster`, on graphs with one vertex orbit, with n singleton orbits,
+and with orbits of sizes 1 and 2.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
+from kneserhom.combinatorics import binom
 from kneserhom.graphs import Graph
-from kneserhom.hochster import full_betti_oracle
+from kneserhom.hochster import full_betti_oracle, linear_strand_oracle
 from kneserhom.kneser import build
 from kneserhom.symmetry import (_kneser_parameters, automorphisms,
-                                candidate_generators, orbits)
+                                candidate_generators, orbits, vertex_orbits)
 
 
 def preserves(perm, g: Graph) -> bool:
@@ -40,6 +45,58 @@ def relabelled(g: Graph) -> Graph:
     perm = list(range(g.n))
     random.Random(1).shuffle(perm)
     return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def without_rung_edge(m: int, k: int) -> Graph:
+    """H(m, k) less the edge {1, ..., k} -- {1, ..., m-k}."""
+    kn = build(m, k)
+    a = kn.left_id((1 << k) - 1)
+    b = kn.right_id((1 << (m - k)) - 1)
+    return Graph.from_edges(kn.graph.n, [e for e in kn.graph.edges() if e != (a, b)])
+
+
+def closure_orbits(n: int, gens) -> list[tuple[int, ...]]:
+    """Vertex orbits by closing each vertex under the generators."""
+    out = []
+    for v in range(n):
+        if any(v in o for o in out):
+            continue
+        orbit, todo = {v}, [v]
+        while todo:
+            x = todo.pop()
+            for p in gens:
+                if p[x] not in orbit:
+                    orbit.add(p[x])
+                    todo.append(p[x])
+        out.append(tuple(sorted(orbit)))
+    return out
+
+
+def find(parent: list[int], v: int) -> int:
+    while parent[v] != v:
+        v = parent[v]
+    return v
+
+
+def brute_strand(g: Graph, i: int) -> int:
+    """The sum, over every (i+1)-subset W, of the number of components of
+    the complement of G[W], less one, by union-find over vertex pairs."""
+    edges = set(g.edges())
+    parent = list(range(g.n))
+    total = 0
+    for w in itertools.combinations(range(g.n), i + 1):
+        for v in w:
+            parent[v] = v
+        for u, v in itertools.combinations(w, 2):
+            if (u, v) not in edges:
+                parent[find(parent, u)] = find(parent, v)
+        total += len({find(parent, v) for v in w}) - 1
+    return total
+
+
+def strand_degrees(n: int):
+    """Every i whose brute force checks at most 50,000 vertex pairs."""
+    return [i for i in range(1, n) if binom(n, i + 1) * binom(i + 1, 2) <= 50_000]
 
 
 # H(2,1) is two disjoint edges, and (0 1)(2 3), the lift of the
@@ -128,3 +185,53 @@ def test_h71_has_the_burnside_count_of_orbits() -> None:
     reps = list(orbits(g.n, automorphisms(g.adj)))
     assert len(reps) == 70
     assert sum(size for _, size in reps) == 1 << 14
+
+
+@pytest.mark.parametrize("m,k", [(m, 1) for m in range(2, 7)] + [(4, 2), (5, 2)])
+def test_strand_over_one_vertex_orbit_equals_brute_force(m: int, k: int) -> None:
+    g = build(m, k).graph
+    assert len(vertex_orbits(g.n, automorphisms(g.adj))) == 1
+    for i in strand_degrees(g.n):
+        assert linear_strand_oracle(g, i) == brute_strand(g, i), (m, k, i)
+
+
+@pytest.mark.parametrize("m,k", [(4, 2), (5, 2)])
+def test_strand_with_no_generator_equals_brute_force(m: int, k: int) -> None:
+    g = relabelled(build(m, k).graph)
+    assert automorphisms(g.adj) == []
+    for i in strand_degrees(g.n):
+        assert linear_strand_oracle(g, i) == brute_strand(g, i), (m, k, i)
+
+
+def test_strand_over_orbits_of_sizes_one_and_two() -> None:
+    g = without_rung_edge(5, 2)
+    kept = automorphisms(g.adj)
+    assert kept == [own_candidates(5, 2)[0]]
+    parts = vertex_orbits(g.n, kept)
+    assert len(parts) == 14 and {len(o) for o in parts} == {1, 2}
+    strand = [linear_strand_oracle(g, i) for i in strand_degrees(g.n)]
+    assert strand == [brute_strand(g, i) for i in strand_degrees(g.n)]
+    assert strand[:3] == [29, 56, 18]
+
+
+@pytest.mark.parametrize("m,k", [(m, k) for k in range(1, 4) for m in range(2 * k, 36)
+                                 if 2 * binom(m, k) <= 70])
+def test_kneser_graph_has_one_vertex_orbit(m: int, k: int) -> None:
+    g = build(m, k).graph
+    assert vertex_orbits(g.n, automorphisms(g.adj)) == [tuple(range(g.n))]
+
+
+def test_vertex_orbits_of_no_generator_are_singletons() -> None:
+    g = relabelled(build(5, 2).graph)
+    assert vertex_orbits(g.n, automorphisms(g.adj)) == [(v,) for v in range(g.n)]
+    assert vertex_orbits(3, []) == [(0,), (1,), (2,)]
+
+
+@pytest.mark.parametrize("g", [build(3, 1).graph, build(6, 3).graph,
+                               without_rung_edge(4, 2), without_rung_edge(5, 2),
+                               without_rung_edge(6, 2)])
+def test_vertex_orbits_match_their_closure(g: Graph) -> None:
+    gens = automorphisms(g.adj)
+    assert vertex_orbits(g.n, gens) == closure_orbits(g.n, gens)
+    for p in gens:
+        assert vertex_orbits(g.n, [p]) == closure_orbits(g.n, [p])
