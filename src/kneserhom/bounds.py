@@ -21,6 +21,7 @@ from .graphs import (Graph, closed_neighborhood, complement, induced,
                      three_disjoint)
 from .kneser import (KneserGraph, build, double_star_cover, dominating_w,
                      e_s_family, gamma_demand_family, star_cover)
+from .symmetry import automorphisms, vertex_orbits
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -171,12 +172,12 @@ def gamma_of(g: Graph, c: int, guards: Guards = DEFAULT_GUARDS) -> SearchResult:
     if c == 0:
         return SearchResult(0, 0)
     adj = g.adj
-    candidates = [v for v in range(g.n) if adj[v] & c]
-    coverage = {v: adj[v] & c for v in candidates}
-    for u in bit_indices(c):
-        if not any(adj[u] >> v & 1 for v in candidates):
+    # Adjacency is symmetric, so the vertices that cover u are its neighbors.
+    coverers = {u: bit_indices(adj[u]) for u in bit_indices(c)}
+    for u, opts in coverers.items():
+        if not opts:
             raise ValueError(f"gamma_of: vertex {u} has no neighbor; demand not coverable")
-    max_cover = max(cov.bit_count() for cov in coverage.values())
+    max_cover = max((row & c).bit_count() for row in adj)
     nodes = 0
 
     def dfs(uncovered: int, depth: int, chosen: int) -> int | None:
@@ -187,13 +188,9 @@ def gamma_of(g: Graph, c: int, guards: Guards = DEFAULT_GUARDS) -> SearchResult:
             return None
         nodes += 1
         guards.check("max_search_nodes", nodes, "gamma_of")
-        # branch on the demanded vertex with the fewest available coverers
-        best_u, best_opts = -1, None
-        for u in bit_indices(uncovered):
-            opts = [v for v in candidates if adj[u] >> v & 1]
-            if best_opts is None or len(opts) < len(best_opts):
-                best_u, best_opts = u, opts
-        for v in best_opts:
+        # branch on the demanded vertex with the fewest coverers
+        best_u = min(bit_indices(uncovered), key=lambda u: len(coverers[u]))
+        for v in coverers[best_u]:
             got = dfs(uncovered & ~adj[v], depth - 1, chosen | 1 << v)
             if got is not None:
                 return got
@@ -208,9 +205,35 @@ def gamma_of(g: Graph, c: int, guards: Guards = DEFAULT_GUARDS) -> SearchResult:
         depth += 1
 
 
+def _orbit_roots(g: Graph) -> list[tuple[int, int]]:
+    """(r, earlier) for each vertex orbit O of the verified automorphisms of
+    g, in order of smallest vertex: r is the smallest vertex of O, earlier
+    the mask of the vertices of the orbits before O.
+
+    Every vertex set S meets some first orbit O, and an automorphism maps a
+    vertex of S in O to r.  Since it preserves every orbit, it maps S onto a
+    set that holds r and misses earlier, with the same size, independence
+    and domination.  So a search for such a set need only start at these
+    roots.  A graph with no verified generator has n singleton orbits, and
+    the roots split the sets by their smallest vertex."""
+    out = []
+    earlier = 0
+    for orbit in vertex_orbits(g.n, automorphisms(g.adj)):
+        out.append((orbit[0], earlier))
+        for v in orbit:
+            earlier |= 1 << v
+    return out
+
+
 def independent_domination_number(g: Graph, guards: Guards = DEFAULT_GUARDS) -> SearchResult:
     """i(G): minimum size of an independent dominating set (equivalently, the
-    smallest maximal independent set), by iterative deepening."""
+    smallest maximal independent set), by iterative deepening.
+
+    Each depth starts once from each root (r, earlier) of `_orbit_roots`: r
+    is chosen, and the vertices of earlier may not be chosen but must still
+    be dominated.  An automorphism maps a minimum independent dominating set
+    onto one that holds some r and misses its earlier, so no depth below
+    i(G) succeeds and depth i(G) does."""
     if g.n == 0:
         return SearchResult(0, 0)
     adj = g.adj
@@ -236,16 +259,23 @@ def independent_domination_number(g: Graph, guards: Guards = DEFAULT_GUARDS) -> 
                 return got
         return None
 
+    roots = _orbit_roots(g)
     depth = _ceil_div(g.n, max_closed)
     while True:
-        got = dfs(0, 0, full, depth)
-        if got is not None:
-            return SearchResult(got.bit_count(), got)
+        for r, earlier in roots:
+            got = dfs(1 << r, closed[r], full & ~closed[r] & ~earlier, depth - 1)
+            if got is not None:
+                return SearchResult(got.bit_count(), got)
         depth += 1
 
 
-def _maximal_independent_sets(g: Graph, guards: Guards) -> list[int]:
-    # Bron-Kerbosch with pivoting on the complement adjacency.
+def _maximal_independent_sets(g: Graph, guards: Guards,
+                              roots: list[tuple[int, int]] | None = None) -> list[int]:
+    """The maximal independent sets of g, sorted.  Given roots, a list of
+    (r, earlier) pairs, only those that hold some r and miss its earlier."""
+    # Bron-Kerbosch with pivoting on the complement adjacency.  A root starts
+    # with r in R and earlier in X, so a set that some vertex of earlier
+    # would extend is never reported.
     nadj = complement(g).adj
     out: list[int] = []
 
@@ -261,13 +291,22 @@ def _maximal_independent_sets(g: Graph, guards: Guards) -> list[int]:
             p &= ~(1 << v)
             x |= 1 << v
 
-    bk(0, g.full_mask, 0)
+    if roots is None:
+        bk(0, g.full_mask, 0)
+    else:
+        for r, earlier in roots:
+            bk(1 << r, nadj[r] & ~earlier, nadj[r] & earlier)
     return sorted(out)
 
 
 def tau_of(g: Graph, guards: Guards = DEFAULT_GUARDS) -> int:
     """tau(G): the maximum over maximal independent sets C (of the graph with
-    isolated vertices removed) of the covering number gamma_of(C)."""
+    isolated vertices removed) of the covering number gamma_of(C).
+
+    An automorphism maps maximal independent sets onto maximal independent
+    sets and N(X) onto N(image of X), so it keeps gamma_of(C).  The maximum
+    is therefore taken over the C that hold the r and miss the earlier of
+    some root of `_orbit_roots`."""
     live = 0
     for v in range(g.n):
         if g.adj[v]:
@@ -276,7 +315,7 @@ def tau_of(g: Graph, guards: Guards = DEFAULT_GUARDS) -> int:
         return 0
     g0 = induced(g, live)
     best = 0
-    for c in _maximal_independent_sets(g0, guards):
+    for c in _maximal_independent_sets(g0, guards, _orbit_roots(g0)):
         best = max(best, gamma_of(g0, c, guards).value)
     return best
 

@@ -88,7 +88,9 @@ def reduced_h0(g: Graph, w: int) -> int:
         raise ValueError("reduced_h0: w must be nonempty")
     if w & ~g.full_mask:
         raise ValueError("reduced_h0: w mentions vertices outside the graph")
-    return _component_count(complement(g).adj, w) - 1
+    # Complement rows read off g; the walk never follows a vertex back into
+    # its own component, so the self-loop each row gains is harmless.
+    return _component_count([g.full_mask & ~row for row in g.adj], w) - 1
 
 
 def linear_strand_oracle(g: Graph, i: int, threads: int = 1,

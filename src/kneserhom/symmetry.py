@@ -18,7 +18,7 @@ Permutations are tuples p of vertex ids, p[v] the image of v.
 
 from __future__ import annotations
 
-from .combinatorics import binom, colex_rank, colex_unrank
+from .combinatorics import binom, bit_indices, k_subsets
 
 
 def _kneser_parameters(n: int):
@@ -39,13 +39,13 @@ def _kneser_parameters(n: int):
 def _lift(m: int, k: int, ground, swap_sides: bool) -> tuple[int, ...]:
     """The vertex permutation of H(m, k) induced by a map of subset masks,
     sending each vertex to the same side, or to the other one."""
-    half = binom(m, k)
-    out = []
-    for v in range(2 * half):
-        right = v >= half
-        a = colex_unrank(v - half, m - k) if right else colex_unrank(v, k)
-        out.append(colex_rank(ground(a)) + (half if right != swap_sides else 0))
-    return tuple(out)
+    # Colex order is numeric order, so each side is listed in id order and
+    # a mask's colex rank is its index among the masks of its size.
+    sides = (list(k_subsets(m, k)), list(k_subsets(m, m - k)))
+    rank = {a: i for side in sides for i, a in enumerate(side)}
+    half = len(sides[0])
+    return tuple(rank[ground(a)] + (half if right != swap_sides else 0)
+                 for right, side in enumerate(sides) for a in side)
 
 
 def candidate_generators(n: int) -> list[tuple[int, ...]]:
@@ -83,12 +83,11 @@ def _image(tables, mask: int) -> int:
 
 def automorphisms(adj) -> list[tuple[int, ...]]:
     """The candidate generators p with adj[p[v]] == p(adj[v]) for every v."""
-    kept = []
-    for perm in candidate_generators(len(adj)):
-        tables = _byte_tables(perm)
-        if all(adj[perm[v]] == _image(tables, row) for v, row in enumerate(adj)):
-            kept.append(perm)
-    return kept
+    # Image rows are built from their set bits: on the sparse H(m, k) that
+    # costs less than the byte tables `orbits` needs for whole masks.
+    return [perm for perm in candidate_generators(len(adj))
+            if all(adj[perm[v]] == sum(1 << perm[u] for u in bit_indices(row))
+                   for v, row in enumerate(adj))]
 
 
 def vertex_orbits(n: int, generators) -> list[tuple[int, ...]]:

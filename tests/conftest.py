@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
-from kneserhom import KneserGraph, build
+from kneserhom import Graph, KneserGraph, build
 
 
 @pytest.fixture(scope="session")
@@ -40,3 +42,34 @@ FROZEN_TABLES = {
     (4, 2): {(0, 0): 1, (1, 2): 6, (2, 4): 15, (3, 6): 20, (4, 8): 15,
              (5, 10): 6, (6, 12): 1},
 }
+
+
+# Brute forces for the searches of `bounds`, by itertools over vertex sets in
+# order of size; they share no code with `bounds`.
+
+
+def brute_gamma(g: Graph, c: int) -> int:
+    """The least number of vertices whose neighborhoods cover c."""
+    coverers = [v for v in range(g.n) if g.adj[v] & c]
+    for size in range(len(coverers) + 1):
+        for xs in itertools.combinations(coverers, size):
+            cov = 0
+            for v in xs:
+                cov |= g.adj[v]
+            if c & ~cov == 0:
+                return size
+    raise AssertionError("demand not coverable")
+
+
+def brute_independent_domination(g: Graph) -> int:
+    """The size of the smallest vertex set that is independent and
+    dominates every vertex."""
+    for size in range(g.n + 1):
+        for xs in itertools.combinations(range(g.n), size):
+            chosen = sum(1 << v for v in xs)
+            dominated = chosen
+            for v in xs:
+                dominated |= g.adj[v]
+            if dominated == g.full_mask and not any(g.adj[v] & chosen for v in xs):
+                return size
+    raise AssertionError("unreachable: the whole vertex set dominates")

@@ -29,7 +29,7 @@ from kneserhom.graphs import Graph, bit_indices
 from kneserhom.hochster import full_betti_oracle, pd_of, reg_of
 from kneserhom.kneser import build, gamma_demand_family
 
-from conftest import FROZEN_TABLES
+from conftest import FROZEN_TABLES, brute_gamma, brute_independent_domination
 
 
 def cycle_graph(n: int) -> Graph:
@@ -42,31 +42,6 @@ def random_graphs(draw, max_n: int = 7):
     edges = [e for e in itertools.combinations(range(n), 2)
              if draw(st.booleans())]
     return Graph.from_edges(n, edges)
-
-
-def brute_gamma(g: Graph, c: int) -> int:
-    for size in range(g.n + 1):
-        for xs in itertools.combinations(range(g.n), size):
-            cov = 0
-            for v in xs:
-                cov |= g.adj[v]
-            if c & ~cov == 0:
-                return size
-    raise AssertionError("demand not coverable")
-
-
-def brute_independent_domination(g: Graph) -> int:
-    best = g.n
-    for w in range(1 << g.n):
-        verts = bit_indices(w)
-        if any(g.adj[v] & w for v in verts):
-            continue
-        dominated = w
-        for v in verts:
-            dominated |= g.adj[v]
-        if dominated == g.full_mask:
-            best = min(best, len(verts))
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +246,15 @@ def test_tau_examples() -> None:
     assert tau_of(cycle_graph(6)) == 2
     assert tau_of(Graph.from_edges(2, [(0, 1)])) == 1
     assert tau_of(Graph(3, (0, 0, 0))) == 0  # isolated vertices stripped
+
+
+def test_searches_fit_a_thousand_nodes() -> None:
+    # An exact bound on the work of the orbit-root searches: i(H(10,2))
+    # takes 580 nodes and tau(H(8,2)) walks 218 maximal independent sets.
+    # Started from every vertex they took 48,105 and 1,718.
+    guards = Guards(max_search_nodes=1_000)
+    assert independent_domination_number(build(10, 2).graph, guards).value == 6
+    assert tau_of(build(8, 2).graph, guards) == 4
 
 
 def test_tau_below_regularity() -> None:

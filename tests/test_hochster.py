@@ -10,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kneserhom.config import GuardExceeded, Guards
-from kneserhom.graphs import Graph
+from kneserhom.graphs import Graph, complement
 from kneserhom.hochster import (
     BettiTable,
     ComplexSlice,
     _boundary_columns,
+    _component_count,
     _rank_exact_q,
     betti_table_to_json,
     betti_table_triangle,
@@ -62,6 +63,21 @@ def test_reduced_h0_counts_split_pairs() -> None:
     assert sum(reduced_h0(g, 1 << u | 1 << v)
                for u, v in itertools.combinations(range(6), 2)) == 6
     assert reduced_h0(g, 1 << 3) == 0  # single vertex: one component
+
+
+def test_reduced_h0_matches_the_complement_graph_count() -> None:
+    # reduced_h0 reads the complement rows off g; the built complement
+    # Graph must give the same count.
+    g = build(6, 2).graph
+    comp = complement(g).adj
+    rng = random.Random(62)
+    for _ in range(300):
+        # an AND of one to four random words: dense and sparse masks alike
+        w = g.full_mask
+        for _ in range(rng.randint(1, 4)):
+            w &= rng.getrandbits(g.n)
+        w = w or 1
+        assert reduced_h0(g, w) == _component_count(comp, w) - 1, hex(w)
 
 
 def test_reduced_h0_validation() -> None:

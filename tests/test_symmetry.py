@@ -6,7 +6,9 @@ A random relabelling of H(m, k) keeps none of the candidate generators, so
 force, run on an isomorphic graph whose table must be the same.  The linear
 strand is checked against a union-find count written here, sharing no code
 with `hochster`, on graphs with one vertex orbit, with n singleton orbits,
-and with orbits of sizes 1 and 2.
+and with orbits of sizes 1 and 2.  The same three kinds of graph check the
+searches of `bounds`, which start at one vertex per orbit, against the brute
+forces of `conftest`.
 """
 
 from __future__ import annotations
@@ -16,12 +18,15 @@ import random
 
 import pytest
 
+from kneserhom.bounds import independent_domination_number, tau_of
 from kneserhom.combinatorics import binom
 from kneserhom.graphs import Graph
 from kneserhom.hochster import full_betti_oracle, linear_strand_oracle
 from kneserhom.kneser import build
 from kneserhom.symmetry import (_kneser_parameters, automorphisms,
                                 candidate_generators, orbits, vertex_orbits)
+
+from conftest import brute_gamma, brute_independent_domination
 
 
 def preserves(perm, g: Graph) -> bool:
@@ -235,3 +240,67 @@ def test_vertex_orbits_match_their_closure(g: Graph) -> None:
     assert vertex_orbits(g.n, gens) == closure_orbits(g.n, gens)
     for p in gens:
         assert vertex_orbits(g.n, [p]) == closure_orbits(g.n, [p])
+
+
+def brute_tau(g: Graph) -> int:
+    """The largest covering number of a maximal independent set of g less
+    its isolated vertices, found as a maximal clique of the complement by
+    networkx."""
+    nx = pytest.importorskip("networkx")
+    live = [v for v in range(g.n) if g.adj[v]]
+    comp = nx.complement(nx.Graph(g.edges()).subgraph(live))
+    return max((brute_gamma(g, sum(1 << v for v in clique))
+                for clique in nx.find_cliques(comp)), default=0)
+
+
+def assert_searches_match_brute_force(g: Graph) -> None:
+    assert independent_domination_number(g).value == brute_independent_domination(g)
+    assert tau_of(g) == brute_tau(g)
+
+
+def swapped(g: Graph, a: int, b: int) -> Graph:
+    """g with vertex ids a and b exchanged."""
+    p = list(range(g.n))
+    p[a], p[b] = b, a
+    return Graph.from_edges(g.n, [(p[u], p[v]) for u, v in g.edges()])
+
+
+SEARCHED = [(m, 1) for m in range(2, 7)] + [(4, 2), (5, 2)]
+
+
+@pytest.mark.parametrize("m,k", SEARCHED)
+def test_searches_over_one_vertex_orbit_equal_brute_force(m: int, k: int) -> None:
+    g = build(m, k).graph
+    assert len(vertex_orbits(g.n, automorphisms(g.adj))) == 1
+    assert_searches_match_brute_force(g)
+
+
+@pytest.mark.parametrize("m,k", [mk for mk in SEARCHED if mk != (2, 1)])
+def test_searches_with_no_generator_equal_brute_force(m: int, k: int) -> None:
+    g = relabelled(build(m, k).graph)
+    assert automorphisms(g.adj) == []
+    assert_searches_match_brute_force(g)
+
+
+def test_searches_over_orbits_of_sizes_one_and_two() -> None:
+    g = without_rung_edge(5, 2)
+    assert len(vertex_orbits(g.n, automorphisms(g.adj))) == 14
+    assert_searches_match_brute_force(g)
+    # Vertex 1 lies in no maximal independent set with covering number
+    # tau = 5; moved to id 0 it is the first root, and not enough.
+    g = swapped(g, 0, 1)
+    assert automorphisms(g.adj) == []
+    assert (brute_independent_domination(g), brute_tau(g)) == (6, 5)
+    assert_searches_match_brute_force(g)
+
+
+def test_domination_search_needs_a_later_orbit() -> None:
+    # H(3,1) less {1}--{1,3} and {2}--{2,3}: the paths {1} {1,2} {2} and
+    # {1,3} {3} {2,3}.  The leaves are the first orbit and lie in no minimum
+    # independent dominating set; the two middle vertices form one.
+    kn = build(3, 1)
+    drop = {(kn.left_id(0b001), kn.right_id(0b101)), (kn.left_id(0b010), kn.right_id(0b110))}
+    g = Graph.from_edges(kn.graph.n, [e for e in kn.graph.edges() if e not in drop])
+    assert vertex_orbits(g.n, automorphisms(g.adj)) == [(0, 1, 4, 5), (2, 3)]
+    assert brute_independent_domination(g) == 2
+    assert_searches_match_brute_force(g)
