@@ -11,7 +11,7 @@ from .bounds import (BoundReport, Certificate, CertificateError,
                      independent_domination_number, pd_bounds, reg_bounds,
                      reg_power_bounds, tau_of)
 from .closed_form import LinearStrand, betti_linear, linear_strand
-from .combinatorics import binom, colex_rank, colex_unrank, k_subsets, n_exact, n_exact_oracle
+from .combinatorics import binom, k_subsets, n_exact, n_exact_oracle
 from .config import DEFAULT_GUARDS, GuardExceeded, Guards
 from .graphs import (Graph, Side, complement, induced, induced_matching_number,
                      is_chordal, is_cochordal, neighborhood, three_disjoint)
@@ -28,7 +28,7 @@ __all__ = [
     "DEFAULT_GUARDS", "Graph", "GuardExceeded", "Guards", "KneserGraph",
     "LinearStrand", "Side", "betti_linear", "binom", "build",
     "certify_cochordal_cover", "certify_domination", "certify_gamma_demand",
-    "certify_induced_matching", "colex_rank", "colex_unrank", "complement",
+    "certify_induced_matching", "complement",
     "double_star_cover", "dominating_w", "e_s_family",
     "enumerate_faces", "full_betti_oracle", "gamma_demand_family", "gamma_of",
     "independent_domination_number", "induced", "induced_matching_number",

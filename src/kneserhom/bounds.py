@@ -340,8 +340,7 @@ def _default_spread(m: int, k: int) -> int:
 
 
 def certify_induced_matching(m: int, k: int, s: int | None = None,
-                             guards: Guards = DEFAULT_GUARDS,
-                             max_edges: int = 64) -> BoundReport:
+                             guards: Guards = DEFAULT_GUARDS) -> BoundReport:
     """Certified induced matching of size C(2k,k), plus the exact induced
     matching number when the exhaustive search fits the guards."""
     kn = build(m, k, guards)
@@ -374,7 +373,7 @@ def certify_induced_matching(m: int, k: int, s: int | None = None,
     anchors = ["induced matching certified edge by edge",
                "upper bound: induced matchings never exceed the regularity"]
     try:
-        found = induced_matching_number(g, guards, max_edges)
+        found = induced_matching_number(g, guards)
         exact = found.size
         anchors.append("exact value by exhaustive branch-and-bound search")
     except (GuardExceeded, ValueError):

@@ -1,9 +1,11 @@
-"""Binomial arithmetic, colex subset encoding, and the exact-intersection count.
+"""Binomial arithmetic, subset masks, the colex layout of H(m, k), and the
+exact-intersection count.
 
 Subsets of the ground set {1, ..., m} are encoded as bitmasks: bit i-1 set
 means element i is present.  Colexicographic order on k-subsets coincides
-with numeric order on these masks, which makes ranking, unranking, and
-streaming enumeration cheap.  All arithmetic is exact (Python integers).
+with numeric order on these masks, so a sorted listing is the colex order
+and streaming enumeration is cheap.  All arithmetic is exact (Python
+integers).
 """
 
 from __future__ import annotations
@@ -91,42 +93,11 @@ def k_subsets(m: int, k: int):
         v = _next_same_popcount(v)
 
 
-def colex_rank(mask: int) -> int:
-    """Rank of a k-subset mask among all k-subsets in colex order (0-based)."""
-    rank = 0
-    j = 0
-    m = mask
-    while m:
-        low = m & -m
-        pos = low.bit_length() - 1  # 0-based position of this element
-        j += 1
-        rank += binom(pos, j)
-        m ^= low
-    return rank
-
-
-def colex_unrank(rank: int, k: int) -> int:
-    """Inverse of colex_rank: the k-subset mask with the given colex rank."""
-    if rank < 0 or k < 0:
-        raise ValueError("colex_unrank: rank and k must be nonnegative")
-    mask = 0
-    r = rank
-    for j in range(k, 0, -1):
-        # largest c with C(c, j) <= r, found by upward then binary search
-        lo, hi = j - 1, j
-        while binom(hi, j) <= r:
-            hi *= 2
-        while lo < hi - 1:
-            mid = (lo + hi) // 2
-            if binom(mid, j) <= r:
-                lo = mid
-            else:
-                hi = mid
-        mask |= 1 << lo
-        r -= binom(lo, j)
-    if r != 0:
-        raise ValueError(f"colex_unrank: rank {rank} not reachable for k={k}")
-    return mask
+def kneser_sides(m: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The vertex layout of H(m, k): its k-subsets, then its (m-k)-subsets,
+    each side in colex (= numeric) order, so a side is sorted and a vertex id
+    is its index on the left, or C(m, k) plus its index on the right."""
+    return tuple(k_subsets(m, k)), tuple(k_subsets(m, m - k))
 
 
 def n_exact(m: int, q: int, r: int, t: int) -> int:

@@ -6,16 +6,18 @@ Vertex layout of H(m, k): the left side holds all k-subsets of [m] at ids
 0 .. C(m,k)-1 in colex order, the right side all (m-k)-subsets at ids
 C(m,k) .. 2C(m,k)-1 in colex order.  {A, B} is an edge iff A is contained
 in B.  For m = 2k this degenerates to a ladder: C(2k,k) disjoint rungs.
+`build` lists both sides once, with `combinatorics.kneser_sides`, and keeps
+them on the graph; ids and subsets are read off those stored sides.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 
-from .combinatorics import (binom, bit_indices, check_mk, colex_rank,
-                            colex_unrank, elements_of, k_subsets, mask_of,
-                            subset_str)
+from .combinatorics import (binom, bit_indices, check_mk, elements_of,
+                            kneser_sides, mask_of, subset_str)
 from .config import DEFAULT_GUARDS, Guards
 from .graphs import Graph, Side
 
@@ -28,31 +30,34 @@ class KneserGraph:
     m: int
     k: int
     graph: Graph
+    sides: tuple[tuple[int, ...], tuple[int, ...]]  # left, right masks by id
 
     @property
     def n_left(self) -> int:
-        return binom(self.m, self.k)
+        return len(self.sides[0])
 
     @property
     def is_ladder(self) -> bool:
         return self.m == 2 * self.k
 
+    def _id(self, right: int, mask: int, what: str) -> int:
+        side = self.sides[right]
+        i = bisect_left(side, mask)
+        if i == len(side) or side[i] != mask:
+            raise ValueError(f"{subset_str(mask)} is not {what} of [m]")
+        return right * len(side) + i
+
     def left_id(self, a_mask: int) -> int:
-        if a_mask.bit_count() != self.k or a_mask >> self.m:
-            raise ValueError(f"{subset_str(a_mask)} is not a k-subset of [m]")
-        return colex_rank(a_mask)
+        return self._id(0, a_mask, "a k-subset")
 
     def right_id(self, b_mask: int) -> int:
-        if b_mask.bit_count() != self.m - self.k or b_mask >> self.m:
-            raise ValueError(f"{subset_str(b_mask)} is not an (m-k)-subset of [m]")
-        return self.n_left + colex_rank(b_mask)
+        return self._id(1, b_mask, "an (m-k)-subset")
 
     def subset_of(self, vid: int) -> int:
         if not 0 <= vid < 2 * self.n_left:
             raise ValueError(f"vertex id {vid} out of range")
-        if vid < self.n_left:
-            return colex_unrank(vid, self.k)
-        return colex_unrank(vid - self.n_left, self.m - self.k)
+        right, i = divmod(vid, self.n_left)
+        return self.sides[right][i]
 
     def side_of(self, vid: int) -> Side:
         return Side.LEFT if vid < self.n_left else Side.RIGHT
@@ -68,10 +73,11 @@ def build(m: int, k: int, guards: Guards = DEFAULT_GUARDS) -> KneserGraph:
     check_mk(m, k)
     n_left = binom(m, k)
     guards.check("max_subsets", 2 * n_left, f"build H({m},{k})")
+    left, right = sides = kneser_sides(m, k)
     full = (1 << m) - 1
-    right_ids = {b: n_left + r for r, b in enumerate(k_subsets(m, m - k))}
+    right_ids = {b: n_left + r for r, b in enumerate(right)}
     edges = []
-    for ra, a in enumerate(k_subsets(m, k)):
+    for ra, a in enumerate(left):
         rest = elements_of(full & ~a)
         for extra in itertools.combinations(rest, m - 2 * k):
             edges.append((ra, right_ids[a | mask_of(extra)]))
@@ -79,7 +85,7 @@ def build(m: int, k: int, guards: Guards = DEFAULT_GUARDS) -> KneserGraph:
     degree = binom(m - k, k)
     assert all(row.bit_count() == degree for row in g.adj), \
         f"H({m},{k}) is not {degree}-regular"
-    return KneserGraph(m, k, g)
+    return KneserGraph(m, k, g, sides)
 
 
 def _check_spread(kn: KneserGraph, s: int) -> None:
@@ -130,10 +136,9 @@ def double_star_cover(kn: KneserGraph, t: int) -> tuple[EdgeSet, ...]:
     g = kn.graph
     members = []
     seen = set()
-    for a in k_subsets(kn.m, kn.k):
+    for ida, a in enumerate(kn.sides[0]):
         if a & t_bit:
             continue
-        ida = kn.left_id(a)
         idb = kn.right_id(a | t_bit)
         union = {(ida, rb) for rb in bit_indices(g.adj[ida])}
         union |= {(ra, idb) for ra in bit_indices(g.adj[idb])}
@@ -163,13 +168,14 @@ def dominating_w(kn: KneserGraph, s: int | None = None, j: int | None = None) ->
     if s >> (j - 1) & 1:
         raise ValueError(f"j = {j} must lie outside s = {subset_str(s)}")
     t_mask = s | 1 << (j - 1)
+    left, right = kn.sides
     out = 0
-    for a in k_subsets(kn.m, kn.k):
+    for ra, a in enumerate(left):
         if a & t_mask == 0:
-            out |= 1 << kn.left_id(a)
-    for b in k_subsets(kn.m, kn.m - kn.k):
+            out |= 1 << ra
+    for rb, b in enumerate(right, len(left)):
         if b & t_mask == t_mask:
-            out |= 1 << kn.right_id(b)
+            out |= 1 << rb
     return out
 
 
@@ -189,8 +195,8 @@ def gamma_demand_family(kn: KneserGraph, q: int, s: int) -> tuple[int, tuple[int
     if q & s:
         raise ValueError(f"q = {subset_str(q)} and s = {subset_str(s)} must be disjoint")
     demand = 0
-    for b in k_subsets(kn.m, kn.m - kn.k):
+    for rb, b in enumerate(kn.sides[1], kn.n_left):
         if b & q == q:
-            demand |= 1 << kn.right_id(b)
+            demand |= 1 << rb
     witnesses = tuple(kn.left_id(q | 1 << (i - 1)) for i in elements_of(s))
     return demand, witnesses

@@ -18,7 +18,7 @@ Permutations are tuples p of vertex ids, p[v] the image of v.
 
 from __future__ import annotations
 
-from .combinatorics import binom, bit_indices, k_subsets
+from .combinatorics import binom, bit_indices, kneser_sides
 
 
 def _kneser_parameters(n: int):
@@ -39,9 +39,8 @@ def _kneser_parameters(n: int):
 def _lift(m: int, k: int, ground, swap_sides: bool) -> tuple[int, ...]:
     """The vertex permutation of H(m, k) induced by a map of subset masks,
     sending each vertex to the same side, or to the other one."""
-    # Colex order is numeric order, so each side is listed in id order and
-    # a mask's colex rank is its index among the masks of its size.
-    sides = (list(k_subsets(m, k)), list(k_subsets(m, m - k)))
+    # A mask's index among the masks of its size is its index on its side.
+    sides = kneser_sides(m, k)
     rank = {a: i for side in sides for i, a in enumerate(side)}
     half = len(sides[0])
     return tuple(rank[ground(a)] + (half if right != swap_sides else 0)

@@ -8,8 +8,6 @@ from kneserhom.combinatorics import (
     binom,
     bit_indices,
     check_mk,
-    colex_rank,
-    colex_unrank,
     elements_of,
     k_subsets,
     mask_of,
@@ -83,25 +81,6 @@ def test_k_subsets_rejects_bad_params() -> None:
     with pytest.raises(ValueError):
         list(k_subsets(3, 4))
     assert len(list(k_subsets(70, 1))) == 70
-
-
-def test_colex_rank_matches_enumeration_order() -> None:
-    for m, k in [(5, 2), (6, 3), (7, 1), (4, 4)]:
-        for rank, mask in enumerate(k_subsets(m, k)):
-            assert colex_rank(mask) == rank
-            assert colex_unrank(rank, k) == mask
-
-
-@given(st.integers(0, 10_000), st.integers(1, 8))
-def test_colex_unrank_round_trip(rank: int, k: int) -> None:
-    mask = colex_unrank(rank, k)
-    assert mask.bit_count() == k
-    assert colex_rank(mask) == rank
-
-
-def test_colex_unrank_rejects_negative() -> None:
-    with pytest.raises(ValueError):
-        colex_unrank(-1, 2)
 
 
 def test_n_exact_pinned_values() -> None:

@@ -54,17 +54,26 @@ def test_edges_are_containments(kn52: KneserGraph) -> None:
             assert g.has_edge(u, v) == expect
 
 
-def test_vertex_ids_round_trip(kn52: KneserGraph) -> None:
-    for vid in range(kn52.graph.n):
-        mask = kn52.subset_of(vid)
-        if kn52.side_of(vid) is Side.LEFT:
-            assert kn52.left_id(mask) == vid
+@pytest.mark.parametrize("m,k", [(2, 1), (4, 2), (6, 3), (5, 2), (7, 3), (8, 3)])
+def test_vertex_ids_round_trip(m: int, k: int) -> None:
+    kn = build(m, k)
+    for vid in range(kn.graph.n):
+        mask = kn.subset_of(vid)
+        if kn.side_of(vid) is Side.LEFT:
+            assert kn.left_id(mask) == vid
         else:
-            assert kn52.right_id(mask) == vid
+            assert kn.right_id(mask) == vid
     with pytest.raises(ValueError):
-        kn52.subset_of(kn52.graph.n)
+        kn.subset_of(kn.graph.n)
     with pytest.raises(ValueError):
-        kn52.left_id(mask_of([1, 2, 3]))
+        kn.subset_of(-1)  # a bare tuple index would wrap to the last vertex
+    with pytest.raises(ValueError):
+        kn.left_id(mask_of(range(1, k + 2)))
+    if m > 2 * k:
+        with pytest.raises(ValueError):
+            kn.left_id(mask_of(range(1, m - k + 1)))
+    with pytest.raises(ValueError):
+        kn.right_id(mask_of([*range(1, m - k), m + 1]))
 
 
 def test_ladder_shape(kn21: KneserGraph, kn42: KneserGraph) -> None:
