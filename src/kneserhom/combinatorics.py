@@ -37,7 +37,10 @@ def check_mk(m: int, k: int) -> None:
 
 
 def bit_indices(mask: int) -> tuple[int, ...]:
-    """0-based set bit positions of a mask, ascending."""
+    """0-based set bit positions of a mask, ascending.  A negative mask has
+    no end of set bits and is refused."""
+    if mask < 0:
+        raise ValueError(f"mask must be nonnegative, got {mask}")
     out = []
     while mask:
         low = mask & -mask

@@ -11,8 +11,10 @@ homology.  The full table takes one W per orbit on vertex subsets and weights
 it by the orbit's size.  The linear strand walks, for each vertex orbit, the
 (i+1)-subsets that hold the orbit's smallest vertex and no vertex of an
 earlier orbit, and weights each by the orbit's size over the number of the
-orbit's vertices it holds.  It shares no code path with the closed-form
-side, which is the point.
+orbit's vertices it holds.  It needs only H~_0, and counts the complement
+components by adding W's vertices one at a time to the components of the
+smaller subsets it has already walked, and the last vertex by popcounts.
+It shares no code path with the closed-form side, which is the point.
 
 Conventions: the empty face is a face of every nonvoid complex; the complex
 { {} } has dim H~_{-1} = 1 and the void complex contributes nothing anywhere.
@@ -29,9 +31,9 @@ import json
 from dataclasses import dataclass, field
 from math import comb, gcd, lcm
 
-from .combinatorics import _next_same_popcount, bit_indices
+from .combinatorics import bit_indices
 from .config import DEFAULT_GUARDS, Guards
-from .graphs import Graph, complement
+from .graphs import Graph
 from .symmetry import automorphisms, orbits, vertex_orbits
 
 
@@ -56,41 +58,35 @@ def _check_char(field_char: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-# Counts by BFS on masks, with no induced Graph per subset (2-core Xeon VM,
-# Python 3.11.7): a BFS over an induced Graph per subset took 11x as long
-# over 30,000 6-subsets of H(6,2); a mask-level variant returning the
-# component list ran 3% slower over all 593,775 of them.
-def _component_count(adjc, w: int) -> int:
-    comps = 0
-    rem = w
-    while rem:
-        comp = rem & -rem
-        frontier = comp
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                low = f & -f
-                nxt |= adjc[low.bit_length() - 1]
-                f ^= low
-            frontier = nxt & w & ~comp
-            comp |= frontier
-        comps += 1
-        rem &= ~comp
-    return comps
+def _add_vertex(reaches: list[int], v: int, row: int) -> list[int]:
+    """The complement components after v joins W, given those of W as their
+    reaches (the OR of the complement rows of each component's vertices) and
+    v's complement row: every component whose reach holds v merges with v
+    into one; if none holds v, v starts a new component."""
+    bit = 1 << v
+    kept = []
+    for q in reaches:
+        if q & bit:
+            row |= q
+        else:
+            kept.append(q)
+    kept.append(row)
+    return kept
 
 
 def reduced_h0(g: Graph, w: int) -> int:
     """dim H~_0 of the independence complex slice on w: one less than the
     number of connected components of the complement of the induced
-    subgraph on w."""
+    subgraph on w, found by adding w's vertices one at a time."""
     if w == 0:
         raise ValueError("reduced_h0: w must be nonempty")
-    if w & ~g.full_mask:
+    full = g.full_mask
+    if w & ~full:
         raise ValueError("reduced_h0: w mentions vertices outside the graph")
-    # Complement rows read off g; the walk never follows a vertex back into
-    # its own component, so the self-loop each row gains is harmless.
-    return _component_count([g.full_mask & ~row for row in g.adj], w) - 1
+    reaches: list[int] = []
+    for v in bit_indices(w):
+        reaches = _add_vertex(reaches, v, full & ~g.adj[v] & ~(1 << v))
+    return len(reaches) - 1
 
 
 def linear_strand_oracle(g: Graph, i: int, threads: int = 1,
@@ -108,6 +104,17 @@ def linear_strand_oracle(g: Graph, i: int, threads: int = 1,
     subsets in place of C(n, i+1); a graph with no verified generator has n
     singleton orbits, each of weight 1, which is the plain sum.
 
+    The walk grows each W one vertex at a time, in increasing id order,
+    depth first on an explicit stack, and carries the components of the
+    complement of G[W] as their reaches: the OR of the complement rows of a
+    component's vertices.  Merge lemma: when x joins W, the components
+    whose reach holds x and x itself form one component, and every other
+    component stays as it is, so c(W + x) = c(W) + 1 - #{C : x in reach(C)}.
+    The last vertex is then not walked: over the ids X above the last one
+    of an i-vertex prefix W', the sum of c(W' + x) - 1 is
+    |X| c(W') - sum_C |reach(C) & X|, a few popcounts, taken once on the
+    ids of X in O_t and once on the others.
+
     The max_subsets guard counts the C(n, i+1) subsets the sum stands for,
     not the subsets it walks.  threads is accepted and ignored: the sum is
     pure Python held by the GIL, and it ran slower with a thread pool than
@@ -120,16 +127,17 @@ def linear_strand_oracle(g: Graph, i: int, threads: int = 1,
         return 0
     guards.check("max_subsets", total_subsets,
                  f"linear strand i={i} on a {n}-vertex graph")
-    comp = complement(g).adj
     parts = vertex_orbits(n, automorphisms(g.adj))
     # Relabel so that each orbit is a run of consecutive ids: the W that
     # avoid the orbits before O_t are then the subsets of the ids >= r.
+    order = [u for part in parts for u in part]
     new_id = [0] * n
-    for v, old in enumerate(u for part in parts for u in part):
+    for v, old in enumerate(order):
         new_id[old] = v
-    adjc = [0] * n
-    for old, row in enumerate(comp):
-        adjc[new_id[old]] = sum(1 << new_id[u] for u in bit_indices(row))
+    # Complement rows, relabelled: v's row holds every other id not adjacent to v.
+    full = g.full_mask
+    adjc = [full & ~sum(1 << new_id[u] for u in bit_indices(g.adj[old])) & ~(1 << v)
+            for v, old in enumerate(order)]
     # sums[c] adds dim H~_0 over the walked W with |W & O_t| = c; the
     # weighted total stays an exact integer in units of 1/scale.
     scale = lcm(*range(1, i + 2))
@@ -137,14 +145,26 @@ def linear_strand_oracle(g: Graph, i: int, threads: int = 1,
     r = 0
     for part in parts:
         size = len(part)
+        if r + i >= n:
+            break  # no W of i + 1 vertices fits in the ids >= r
         in_orbit = ((1 << size) - 1) << r
         sums = [0] * (i + 2)
-        first = 1 << r
-        rest = (1 << i) - 1
-        for _ in range(comb(n - 1 - r, i)):
-            w = first | rest << (r + 1)
-            sums[(w & in_orbit).bit_count()] += _component_count(adjc, w) - 1
-            rest = _next_same_popcount(rest)
+        # (reaches, |W' & O_t|, last id, |W'|) for each prefix W' still to grow
+        stack = [([adjc[r]], 1, r, 1)]
+        while stack:
+            reaches, c, last, depth = stack.pop()
+            if depth < i:
+                # the prefix leaves room for the i - depth vertices after it
+                for x in range(n - i + depth - 1, last, -1):
+                    stack.append((_add_vertex(reaches, x, adjc[x]),
+                                  c + (in_orbit >> x & 1), x, depth + 1))
+                continue
+            above = full & ~((2 << last) - 1)
+            comps = len(reaches)
+            for bucket, xs in ((c + 1, above & in_orbit), (c, above & ~in_orbit)):
+                if xs:
+                    sums[bucket] += xs.bit_count() * comps - sum(
+                        (q & xs).bit_count() for q in reaches)
         total += size * sum(sums[c] * (scale // c) for c in range(1, i + 2))
         r += size
     value, remainder = divmod(total, scale)

@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kneserhom.combinatorics import binom
 from kneserhom.config import GuardExceeded, Guards
-from kneserhom.graphs import Graph, complement
+from kneserhom.graphs import Graph, complement, induced
 from kneserhom.hochster import (
     BettiTable,
     ComplexSlice,
     _boundary_columns,
-    _component_count,
     _rank_exact_q,
     betti_table_to_json,
     betti_table_triangle,
@@ -66,10 +66,11 @@ def test_reduced_h0_counts_split_pairs() -> None:
 
 
 def test_reduced_h0_matches_the_complement_graph_count() -> None:
-    # reduced_h0 reads the complement rows off g; the built complement
-    # Graph must give the same count.
+    # reduced_h0 reads the complement rows off g; networkx, on the built
+    # complement Graph, must count the same components.
+    nx = pytest.importorskip("networkx")
     g = build(6, 2).graph
-    comp = complement(g).adj
+    comp = complement(g)
     rng = random.Random(62)
     for _ in range(300):
         # an AND of one to four random words: dense and sparse masks alike
@@ -77,7 +78,10 @@ def test_reduced_h0_matches_the_complement_graph_count() -> None:
         for _ in range(rng.randint(1, 4)):
             w &= rng.getrandbits(g.n)
         w = w or 1
-        assert reduced_h0(g, w) == _component_count(comp, w) - 1, hex(w)
+        sub = induced(comp, w)
+        h = nx.Graph(sub.edges())
+        h.add_nodes_from(range(sub.n))
+        assert reduced_h0(g, w) == nx.number_connected_components(h) - 1, hex(w)
 
 
 def test_reduced_h0_validation() -> None:
@@ -125,12 +129,31 @@ def test_linear_strand_refuses_a_fractional_orbit_sum(monkeypatch) -> None:
 
 
 def test_linear_strand_guard_counts_every_subset_not_the_walk() -> None:
-    # H(6,2) at i = 5 walks C(29, 5) subsets but stands for C(30, 6)
+    # H(6,2) at i = 5 walks C(28, 4) prefixes of C(29, 5) subsets but
+    # stands for C(30, 6)
     tight = Guards(max_subsets=593_774)
     with pytest.raises(GuardExceeded) as exc:
         linear_strand_oracle(build(6, 2).graph, 5, guards=tight)
     assert exc.value.needed == 593_775
     assert "linear strand i=5 on a 30-vertex graph" in str(exc.value)
+
+
+def test_linear_strand_walks_deep_degrees_without_recursion() -> None:
+    # C(n, n) = 1 passes the guard at i = n - 1, so the walk grows one
+    # 1,100-vertex subset; the complement of a path on more than three
+    # vertices is connected.
+    n = 1100
+    path = Graph.from_edges(n, [(v, v + 1) for v in range(n - 1)])
+    assert linear_strand_oracle(path, n - 1) == 0
+
+
+def test_linear_strand_of_a_complete_graph() -> None:
+    # the complement of K_n[W] is edgeless: |W| components, so every
+    # (i+1)-subset adds i
+    for n in range(2, 10):
+        g = complete_graph(n)
+        for i in range(1, n):
+            assert linear_strand_oracle(g, i) == binom(n, i + 1) * i, (n, i)
 
 
 def test_enumerate_faces_counts() -> None:

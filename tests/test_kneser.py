@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kneserhom
 from kneserhom.combinatorics import binom, elements_of, mask_of
 from kneserhom.config import GuardExceeded, Guards
 from kneserhom.graphs import Side, bit_indices, is_cochordal, three_disjoint
@@ -188,6 +193,26 @@ def test_double_star_cover_members_cochordal(m: int, k: int, t: int) -> None:
 def test_double_star_cover_sizes(kn31: KneserGraph, kn52: KneserGraph) -> None:
     assert len(double_star_cover(kn31, 3)) == 2
     assert len(double_star_cover(kn52, 5)) == 6
+
+
+# A negative mask has no end of set bits.  Each call runs in a child process,
+# so that a loop over its bits fails the test at the timeout, not hangs it.
+@pytest.mark.parametrize("call", ["bit_indices(-1)", "subset_str(-1)",
+                                  "kn.left_id(-1)", "kn.right_id(-1)",
+                                  "e_s_family(kn, -2)"])
+def test_negative_masks_are_refused(call: str) -> None:
+    code = ("from kneserhom.combinatorics import bit_indices, subset_str\n"
+            "from kneserhom.kneser import build, e_s_family\n"
+            "kn = build(5, 2)\n"
+            f"try:\n    {call}\nexcept ValueError:\n    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n")
+    env = dict(os.environ)
+    package_root = str(Path(kneserhom.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode()
 
 
 def test_double_star_cover_rejects_wrong_shape(kn42: KneserGraph,

@@ -6,9 +6,9 @@ A random relabelling of H(m, k) keeps none of the candidate generators, so
 force, run on an isomorphic graph whose table must be the same.  The linear
 strand is checked against a union-find count written here, sharing no code
 with `hochster`, on graphs with one vertex orbit, with n singleton orbits,
-and with orbits of sizes 1 and 2.  The same three kinds of graph check the
-searches of `bounds`, which start at one vertex per orbit, against the brute
-forces of `conftest`.
+with orbits of sizes 1 and 2, and on dense and sparse random graphs.  The
+first three kinds of graph check the searches of `bounds`, which start at
+one vertex per orbit, against the brute forces of `conftest`.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kneserhom.bounds import independent_domination_number, tau_of
 from kneserhom.combinatorics import binom
@@ -217,6 +219,32 @@ def test_strand_over_orbits_of_sizes_one_and_two() -> None:
     strand = [linear_strand_oracle(g, i) for i in strand_degrees(g.n)]
     assert strand == [brute_strand(g, i) for i in strand_degrees(g.n)]
     assert strand[:3] == [29, 56, 18]
+
+
+@st.composite
+def dense_or_sparse_graphs(draw) -> Graph:
+    """A graph on 2 to 9 vertices: a few pairs flipped from the edgeless
+    graph or from K_n, or a pair set drawn outright."""
+    n = draw(st.integers(2, 9))
+    pairs = list(itertools.combinations(range(n), 2))
+    start = draw(st.sampled_from(("edgeless", "complete", "any")))
+    if start == "any":
+        return Graph.from_edges(n, [e for e in pairs if draw(st.booleans())])
+    flips = draw(st.sets(st.sampled_from(pairs), max_size=4))
+    return Graph.from_edges(n, [e for e in pairs if (e in flips) != (start == "complete")])
+
+
+# Every H(m, k) is bipartite, so no slice of one has more than two
+# complement components; dense graphs merge many at once.  In K_5 less the
+# edges 40, 41 and 42, vertex 4 joins three of the four components of
+# {0, 1, 2, 3}.
+@settings(max_examples=150, deadline=None)
+@given(dense_or_sparse_graphs())
+@example(Graph.from_edges(5, [e for e in itertools.combinations(range(5), 2)
+                              if e not in {(0, 4), (1, 4), (2, 4)}]))
+def test_strand_on_dense_and_sparse_graphs_equals_brute_force(g: Graph) -> None:
+    for i in strand_degrees(g.n):
+        assert linear_strand_oracle(g, i) == brute_strand(g, i), (g.adj, i)
 
 
 @pytest.mark.parametrize("m,k", [(m, k) for k in range(1, 4) for m in range(2 * k, 36)
