@@ -18,8 +18,11 @@ It shares no code path with the closed-form side, which is the point.
 
 Conventions: the empty face is a face of every nonvoid complex; the complex
 { {} } has dim H~_{-1} = 1 and the void complex contributes nothing anywhere.
-A slice whose induced subgraph has an isolated vertex is a cone, hence
-acyclic, and is skipped without building matrices.
+The full table folds each slice before listing its faces.  Fold lemma
+(Engstrom, Discrete Math. 309, 2009): if N(u) lies inside N(v) in G[W] for
+u != v, then Ind(G[W]) and Ind(G[W] - v) are homotopy equivalent.  A slice
+that folds down to one with an isolated vertex is a cone, hence acyclic,
+and is skipped without building matrices.
 
 reduced_homology_dims returns a tuple h with h[c] = dim H~_{c-1}, i.e. the
 entry at index 0 is the (-1)-dimensional homology.
@@ -357,14 +360,25 @@ class BettiTable:
                 raise ValueError(f"BettiTable: entry ({i},{j}) must be positive, got {v}")
 
 
-def _has_isolated(adj, w: int) -> bool:
-    rem = w
-    while rem:
-        low = rem & -rem
-        if adj[low.bit_length() - 1] & w == 0:
-            return True
-        rem ^= low
-    return False
+def _fold(adj, w: int):
+    """A mask w' inside w whose slice has the homology of w's, or None when
+    w's slice is acyclic.  Fold lemma (Engstrom, "Complexes of directed
+    trees and independence complexes", Discrete Math. 309, 2009): if
+    N(u) is inside N(v) in G[W] for vertices u != v of W, then Ind(G[W])
+    and Ind(G[W] - v) are homotopy equivalent.  Such v are dropped until
+    none is left; a vertex isolated in what is left is a cone point, so the
+    slice is contractible and None is returned."""
+    while True:
+        verts = bit_indices(w)
+        nbrs = [adj[v] & w for v in verts]
+        if not all(nbrs):
+            return None
+        for v, nv in zip(verts, nbrs):
+            if any(u != v and nu & ~nv == 0 for u, nu in zip(verts, nbrs)):
+                w ^= 1 << v
+                break
+        else:
+            return w
 
 
 def full_betti_oracle(g: Graph, field_char: int = 2,
@@ -377,6 +391,12 @@ def full_betti_oracle(g: Graph, field_char: int = 2,
     smallest W stands for all of it, weighted by the orbit's size.  The
     generators are those of `symmetry.automorphisms`, each checked against
     g's adjacency; with none, every W is its own orbit.
+
+    Each representative W is folded first (`_fold`, by Engstrom's fold
+    lemma): vertices whose neighbourhood in G[W] holds another's are
+    dropped, which keeps the homotopy type.  A slice that folds to a cone
+    is skipped; any other has its faces and homology computed on the
+    folded mask, and counts in degree j = |W| of the unfolded W.
 
     Refuses loudly (before doing real work) when 2^n or the face count of
     the full independence complex exceeds the guards."""
@@ -395,9 +415,10 @@ def full_betti_oracle(g: Graph, field_char: int = 2,
     adj = g.adj
     entries: dict = {}
     for w, size in orbits(n, automorphisms(adj)):
-        if _has_isolated(adj, w):
+        folded = _fold(adj, w)
+        if folded is None:
             continue
-        sl = enumerate_faces(g, w, guards)
+        sl = enumerate_faces(g, folded, guards)
         h = reduced_homology_dims(sl, field_char, guards)
         j = w.bit_count()
         for c, hd in enumerate(h):

@@ -18,6 +18,8 @@ Permutations are tuples p of vertex ids, p[v] the image of v.
 
 from __future__ import annotations
 
+from array import array
+
 from .combinatorics import binom, bit_indices, kneser_sides
 
 
@@ -59,31 +61,22 @@ def candidate_generators(n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _byte_tables(perm) -> list[list[int]]:
-    """tables[c][b] is the image under perm of the mask b << 8c."""
-    tables = []
-    for base in range(0, len(perm), 8):
-        part = perm[base:base + 8]
-        table = [0] * (1 << len(part))
-        for b in range(1, len(table)):
-            low = b & -b
-            table[b] = table[b ^ low] | 1 << part[low.bit_length() - 1]
-        tables.append(table)
-    return tables
-
-
-def _image(tables, mask: int) -> int:
-    out = 0
-    for table in tables:
-        out |= table[mask & 0xFF]
-        mask >>= 8
-    return out
+def _mask_images(perm, n: int) -> array:
+    """images[w] is the image under perm of the mask w, for every w < 2^n,
+    built by doubling: the masks below 2^(b+1) are those below 2^b, then
+    the same with bit b set, whose image gains bit perm[b].  Unsigned ints,
+    not Python ints, keep the array at 4 bytes a mask; a mask past 32 bits,
+    which would need 2^33 marks in `orbits`, overflows loudly."""
+    images = array("I", [0])
+    for b in range(n):
+        images.extend(map((1 << perm[b]).__or__, images[:]))
+    return images
 
 
 def automorphisms(adj) -> list[tuple[int, ...]]:
     """The candidate generators p with adj[p[v]] == p(adj[v]) for every v."""
     # Image rows are built from their set bits: on the sparse H(m, k) that
-    # costs less than the byte tables `orbits` needs for whole masks.
+    # costs less than the whole-mask image arrays `orbits` needs.
     return [perm for perm in candidate_generators(len(adj))
             if all(adj[perm[v]] == sum(1 << perm[u] for u in bit_indices(row))
                    for v, row in enumerate(adj))]
@@ -112,8 +105,9 @@ def vertex_orbits(n: int, generators) -> list[tuple[int, ...]]:
 def orbits(n: int, generators):
     """Yield (smallest mask, orbit size) for every orbit of the group the
     generators span on the 2^n vertex subsets, in increasing order of the
-    smallest mask.  Holds a bytearray of 2^n marks while it runs."""
-    tables = [_byte_tables(perm) for perm in generators]
+    smallest mask.  Holds a bytearray of 2^n marks and, for each generator,
+    an array of the images of all 2^n masks while it runs."""
+    tables = [_mask_images(perm, n) for perm in generators]
     seen = bytearray(1 << n)
     for w in range(1 << n):
         if seen[w]:
@@ -124,7 +118,7 @@ def orbits(n: int, generators):
         while todo:
             x = todo.pop()
             for t in tables:
-                y = _image(t, x)
+                y = t[x]
                 if not seen[y]:
                     seen[y] = 1
                     size += 1

@@ -16,6 +16,7 @@ from kneserhom.hochster import (
     BettiTable,
     ComplexSlice,
     _boundary_columns,
+    _fold,
     _rank_exact_q,
     betti_table_to_json,
     betti_table_triangle,
@@ -299,6 +300,37 @@ def test_cone_vertex_kills_homology() -> None:
     for w in range(1 << 4, 1 << 5):  # every w containing vertex 4
         h = reduced_homology_dims(enumerate_faces(g, w))
         assert all(d == 0 for d in h), w
+
+
+def nonzero(h: tuple[int, ...]) -> dict[int, int]:
+    return {c: d for c, d in enumerate(h) if d}
+
+
+@given(graph_and_mask())
+@settings(max_examples=150, deadline=None)
+def test_folded_slice_has_the_homology_of_the_slice(gw) -> None:
+    g, w = gw
+    folded = _fold(g.adj, w)
+    sl = enumerate_faces(g, w)
+    for char in (2, 0):
+        h = nonzero(reduced_homology_dims(sl, char))
+        if folded is None:
+            assert h == {}, (g.adj, w, char)
+        else:
+            assert folded & ~w == 0
+            assert nonzero(reduced_homology_dims(enumerate_faces(g, folded), char)) == h
+
+
+def test_fold_on_paths_and_cycles() -> None:
+    # P_4: N(0) is inside N(2), and dropping 2 isolates 3, a cone point.
+    assert _fold(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]).adj, 0b1111) is None
+    # C_4: the two opposite pairs are twins; it folds to one edge, two points.
+    assert _fold(cycle_graph(4).adj, 0b1111).bit_count() == 2
+    # C_5 and C_6 have no neighbourhood inside another: nothing folds.
+    assert _fold(cycle_graph(5).adj, 0b11111) == 0b11111
+    assert _fold(cycle_graph(6).adj, 0b111111) == 0b111111
+    # The empty slice is {{}}, with dim H~_{-1} = 1.
+    assert _fold(cycle_graph(5).adj, 0) == 0
 
 
 @pytest.mark.parametrize("m,k", sorted(FROZEN_TABLES))

@@ -1,9 +1,12 @@
 """The symmetry module against plain edge sets, and the orbit sums of
 `hochster` against brute-force sums over every vertex subset.
 
+The full table is checked against `plain_table`, a Hochster sum over every
+vertex subset written here from `enumerate_faces` and
+`reduced_homology_dims` alone: it takes no orbits and folds no vertices.
 A random relabelling of H(m, k) keeps none of the candidate generators, so
-`full_betti_oracle` sums it over 2^n one-subset orbits: that is the brute
-force, run on an isomorphic graph whose table must be the same.  The linear
+`full_betti_oracle` sums it over 2^n one-subset orbits, and its table must
+equal the one summed over the orbits of the unrelabelled graph.  The linear
 strand is checked against a union-find count written here, sharing no code
 with `hochster`, on graphs with one vertex orbit, with n singleton orbits,
 with orbits of sizes 1 and 2, and on dense and sparse random graphs.  The
@@ -23,9 +26,10 @@ from hypothesis import strategies as st
 from kneserhom.bounds import independent_domination_number, tau_of
 from kneserhom.combinatorics import binom
 from kneserhom.graphs import Graph
-from kneserhom.hochster import full_betti_oracle, linear_strand_oracle
+from kneserhom.hochster import (enumerate_faces, full_betti_oracle,
+                                linear_strand_oracle, reduced_homology_dims)
 from kneserhom.kneser import build
-from kneserhom.symmetry import (_kneser_parameters, automorphisms,
+from kneserhom.symmetry import (_kneser_parameters, _mask_images, automorphisms,
                                 candidate_generators, orbits, vertex_orbits)
 
 from conftest import brute_gamma, brute_independent_domination
@@ -101,6 +105,19 @@ def brute_strand(g: Graph, i: int) -> int:
     return total
 
 
+def plain_table(g: Graph, char: int) -> dict:
+    """The Betti table of R/I(G) by Hochster's formula, slice by slice over
+    every vertex subset W: beta_{i,j} adds dim H~_{j-i-1} of every W of size
+    j."""
+    entries: dict = {}
+    for w in range(1 << g.n):
+        j = w.bit_count()
+        for c, d in enumerate(reduced_homology_dims(enumerate_faces(g, w), char)):
+            if d:
+                entries[(j - c, j)] = entries.get((j - c, j), 0) + d
+    return entries
+
+
 def strand_degrees(n: int):
     """Every i whose brute force checks at most 50,000 vertex pairs."""
     return [i for i in range(1, n) if binom(n, i + 1) * binom(i + 1, 2) <= 50_000]
@@ -124,6 +141,24 @@ def test_orbit_sum_equals_brute_force(m: int, k: int, char: int) -> None:
     brute = full_betti_oracle(relabelled(g), field_char=char)
     assert automorphisms(g.adj)
     assert full_betti_oracle(g, field_char=char) == brute
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+@pytest.mark.parametrize("char", [2, 3, 0])
+def test_table_of_kneser_graph_equals_plain_sum(m: int, char: int) -> None:
+    g = build(m, 1).graph
+    assert full_betti_oracle(g, field_char=char).entries == plain_table(g, char)
+
+
+@pytest.mark.parametrize("n", [10, 12])
+def test_mask_images_match_bit_by_bit_images(n: int) -> None:
+    # n = 10 is H(5,1); n = 12 is H(4,2), and H(6,1) too
+    candidates = candidate_generators(n)
+    assert candidates
+    for perm in candidates:
+        images = _mask_images(perm, n)
+        assert len(images) == 1 << n
+        assert all(images[w] == image(perm, w) for w in range(1 << n))
 
 
 @pytest.mark.parametrize("m,k", [(2, 1), (3, 1), (5, 1), (7, 1), (4, 2), (6, 3)])
@@ -222,10 +257,10 @@ def test_strand_over_orbits_of_sizes_one_and_two() -> None:
 
 
 @st.composite
-def dense_or_sparse_graphs(draw) -> Graph:
-    """A graph on 2 to 9 vertices: a few pairs flipped from the edgeless
+def dense_or_sparse_graphs(draw, max_n: int = 9) -> Graph:
+    """A graph on 2 to max_n vertices: a few pairs flipped from the edgeless
     graph or from K_n, or a pair set drawn outright."""
-    n = draw(st.integers(2, 9))
+    n = draw(st.integers(2, max_n))
     pairs = list(itertools.combinations(range(n), 2))
     start = draw(st.sampled_from(("edgeless", "complete", "any")))
     if start == "any":
@@ -245,6 +280,14 @@ def dense_or_sparse_graphs(draw) -> Graph:
 def test_strand_on_dense_and_sparse_graphs_equals_brute_force(g: Graph) -> None:
     for i in strand_degrees(g.n):
         assert linear_strand_oracle(g, i) == brute_strand(g, i), (g.adj, i)
+
+
+# Dense graphs have many vertices to fold, and sparse ones many cones.
+@settings(max_examples=100, deadline=None)
+@given(dense_or_sparse_graphs(max_n=8))
+def test_table_equals_plain_sum(g: Graph) -> None:
+    for char in (2, 3, 0):
+        assert full_betti_oracle(g, field_char=char).entries == plain_table(g, char), (g.adj, char)
 
 
 @pytest.mark.parametrize("m,k", [(m, k) for k in range(1, 4) for m in range(2 * k, 36)
