@@ -21,7 +21,7 @@ from .graphs import (Graph, closed_neighborhood, complement, induced,
                      three_disjoint)
 from .kneser import (KneserGraph, build, double_star_cover, dominating_w,
                      e_s_family, gamma_demand_family, star_cover)
-from .symmetry import automorphisms, vertex_orbits
+from .symmetry import orbit_roots
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -205,33 +205,14 @@ def gamma_of(g: Graph, c: int, guards: Guards = DEFAULT_GUARDS) -> SearchResult:
         depth += 1
 
 
-def _orbit_roots(g: Graph) -> list[tuple[int, int]]:
-    """(r, earlier) for each vertex orbit O of the verified automorphisms of
-    g, in order of smallest vertex: r is the smallest vertex of O, earlier
-    the mask of the vertices of the orbits before O.
-
-    Every vertex set S meets some first orbit O, and an automorphism maps a
-    vertex of S in O to r.  Since it preserves every orbit, it maps S onto a
-    set that holds r and misses earlier, with the same size, independence
-    and domination.  So a search for such a set need only start at these
-    roots.  A graph with no verified generator has n singleton orbits, and
-    the roots split the sets by their smallest vertex."""
-    out = []
-    earlier = 0
-    for orbit in vertex_orbits(g.n, automorphisms(g.adj)):
-        out.append((orbit[0], earlier))
-        for v in orbit:
-            earlier |= 1 << v
-    return out
-
-
 def independent_domination_number(g: Graph, guards: Guards = DEFAULT_GUARDS) -> SearchResult:
     """i(G): minimum size of an independent dominating set (equivalently, the
     smallest maximal independent set), by iterative deepening.
 
-    Each depth starts once from each root (r, earlier) of `_orbit_roots`: r
-    is chosen, and the vertices of earlier may not be chosen but must still
-    be dominated.  An automorphism maps a minimum independent dominating set
+    Each depth starts once from each root (r, orbit, earlier) of
+    `symmetry.orbit_roots`, which states why that suffices: r is chosen,
+    and the vertices of earlier may not be chosen but must still be
+    dominated.  An automorphism maps a minimum independent dominating set
     onto one that holds some r and misses its earlier, so no depth below
     i(G) succeeds and depth i(G) does."""
     if g.n == 0:
@@ -259,10 +240,10 @@ def independent_domination_number(g: Graph, guards: Guards = DEFAULT_GUARDS) -> 
                 return got
         return None
 
-    roots = _orbit_roots(g)
+    roots = orbit_roots(adj)
     depth = _ceil_div(g.n, max_closed)
     while True:
-        for r, earlier in roots:
+        for r, _, earlier in roots:
             got = dfs(1 << r, closed[r], full & ~closed[r] & ~earlier, depth - 1)
             if got is not None:
                 return SearchResult(got.bit_count(), got)
@@ -270,9 +251,9 @@ def independent_domination_number(g: Graph, guards: Guards = DEFAULT_GUARDS) -> 
 
 
 def _maximal_independent_sets(g: Graph, guards: Guards,
-                              roots: list[tuple[int, int]] | None = None) -> list[int]:
-    """The maximal independent sets of g, sorted.  Given roots, a list of
-    (r, earlier) pairs, only those that hold some r and miss its earlier."""
+                              roots: list[tuple[int, int, int]]) -> list[int]:
+    """The maximal independent sets of g that hold the r and miss the
+    earlier of some root (r, orbit, earlier) in roots, sorted."""
     # Bron-Kerbosch with pivoting on the complement adjacency.  A root starts
     # with r in R and earlier in X, so a set that some vertex of earlier
     # would extend is never reported.
@@ -291,11 +272,8 @@ def _maximal_independent_sets(g: Graph, guards: Guards,
             p &= ~(1 << v)
             x |= 1 << v
 
-    if roots is None:
-        bk(0, g.full_mask, 0)
-    else:
-        for r, earlier in roots:
-            bk(1 << r, nadj[r] & ~earlier, nadj[r] & earlier)
+    for r, _, earlier in roots:
+        bk(1 << r, nadj[r] & ~earlier, nadj[r] & earlier)
     return sorted(out)
 
 
@@ -306,7 +284,7 @@ def tau_of(g: Graph, guards: Guards = DEFAULT_GUARDS) -> int:
     An automorphism maps maximal independent sets onto maximal independent
     sets and N(X) onto N(image of X), so it keeps gamma_of(C).  The maximum
     is therefore taken over the C that hold the r and miss the earlier of
-    some root of `_orbit_roots`."""
+    some root of `symmetry.orbit_roots`."""
     live = 0
     for v in range(g.n):
         if g.adj[v]:
@@ -315,7 +293,7 @@ def tau_of(g: Graph, guards: Guards = DEFAULT_GUARDS) -> int:
         return 0
     g0 = induced(g, live)
     best = 0
-    for c in _maximal_independent_sets(g0, guards, _orbit_roots(g0)):
+    for c in _maximal_independent_sets(g0, guards, orbit_roots(g0.adj)):
         best = max(best, gamma_of(g0, c, guards).value)
     return best
 

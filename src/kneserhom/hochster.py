@@ -37,7 +37,7 @@ from math import comb, gcd, lcm
 from .combinatorics import bit_indices
 from .config import DEFAULT_GUARDS, Guards
 from .graphs import Graph
-from .symmetry import automorphisms, orbits, vertex_orbits
+from .symmetry import automorphisms, orbit_roots, orbits
 
 
 def _is_prime(p: int) -> bool:
@@ -103,7 +103,10 @@ def linear_strand_oracle(g: Graph, i: int, threads: int = 1,
     orbit, |W & O_t| and dim H~_0, so the share of every v in O_t is that
     of the smallest vertex r: |O_t| times the sum, over the W that hold r
     and no vertex of an earlier orbit, of dim H~_0 / |W & O_t|.  Only those
-    W are walked.  H(m, k) has one orbit, so the walk takes C(n-1, i)
+    W are walked: for each root (r, O_t, earlier) of
+    `symmetry.orbit_roots`, r and i of the ids above r outside earlier.
+    Earlier orbits may interleave with O_t in id order, so the ids above r
+    are not enough.  H(m, k) has one orbit, so the walk takes C(n-1, i)
     subsets in place of C(n, i+1); a graph with no verified generator has n
     singleton orbits, each of weight 1, which is the plain sum.
 
@@ -115,8 +118,8 @@ def linear_strand_oracle(g: Graph, i: int, threads: int = 1,
     component stays as it is, so c(W + x) = c(W) + 1 - #{C : x in reach(C)}.
     The last vertex is then not walked: over the ids X above the last one
     of an i-vertex prefix W', the sum of c(W' + x) - 1 is
-    |X| c(W') - sum_C |reach(C) & X|, a few popcounts, taken once on the
-    ids of X in O_t and once on the others.
+    |X| c(W') - sum_C |reach(C) & X|, a few popcounts on a precomputed
+    mask of X, taken once on its ids in O_t and once on the others.
 
     The max_subsets guard counts the C(n, i+1) subsets the sum stands for,
     not the subsets it walks.  threads is accepted and ignored: the sum is
@@ -130,46 +133,41 @@ def linear_strand_oracle(g: Graph, i: int, threads: int = 1,
         return 0
     guards.check("max_subsets", total_subsets,
                  f"linear strand i={i} on a {n}-vertex graph")
-    parts = vertex_orbits(n, automorphisms(g.adj))
-    # Relabel so that each orbit is a run of consecutive ids: the W that
-    # avoid the orbits before O_t are then the subsets of the ids >= r.
-    order = [u for part in parts for u in part]
-    new_id = [0] * n
-    for v, old in enumerate(order):
-        new_id[old] = v
-    # Complement rows, relabelled: v's row holds every other id not adjacent to v.
     full = g.full_mask
-    adjc = [full & ~sum(1 << new_id[u] for u in bit_indices(g.adj[old])) & ~(1 << v)
-            for v, old in enumerate(order)]
+    # Complement rows: v's row holds every other vertex not adjacent to v.
+    adjc = [full & ~row & ~(1 << v) for v, row in enumerate(g.adj)]
     # sums[c] adds dim H~_0 over the walked W with |W & O_t| = c; the
     # weighted total stays an exact integer in units of 1/scale.
     scale = lcm(*range(1, i + 2))
     total = 0
-    r = 0
-    for part in parts:
-        size = len(part)
-        if r + i >= n:
-            break  # no W of i + 1 vertices fits in the ids >= r
-        in_orbit = ((1 << size) - 1) << r
+    for r, in_orbit, earlier in orbit_roots(g.adj):
+        # the ids W may add to r: above r, in no orbit before O_t
+        allowed = full & ~earlier & ~((2 << r) - 1)
+        ids = bit_indices(allowed)
+        span = len(ids)
+        if span < i:
+            continue  # no W of i + 1 vertices fits
+        tails = [allowed >> x << x for x in ids] + [0]  # tails[p]: ids[p:]
         sums = [0] * (i + 2)
-        # (reaches, |W' & O_t|, last id, |W'|) for each prefix W' still to grow
-        stack = [([adjc[r]], 1, r, 1)]
+        # (reaches, |W' & O_t|, first position in ids that may follow, |W'|)
+        # for each prefix W' still to grow
+        stack = [([adjc[r]], 1, 0, 1)]
         while stack:
-            reaches, c, last, depth = stack.pop()
+            reaches, c, start, depth = stack.pop()
             if depth < i:
                 # the prefix leaves room for the i - depth vertices after it
-                for x in range(n - i + depth - 1, last, -1):
+                for p in range(span - i + depth - 1, start - 1, -1):
+                    x = ids[p]
                     stack.append((_add_vertex(reaches, x, adjc[x]),
-                                  c + (in_orbit >> x & 1), x, depth + 1))
+                                  c + (in_orbit >> x & 1), p + 1, depth + 1))
                 continue
-            above = full & ~((2 << last) - 1)
             comps = len(reaches)
+            above = tails[start]
             for bucket, xs in ((c + 1, above & in_orbit), (c, above & ~in_orbit)):
                 if xs:
                     sums[bucket] += xs.bit_count() * comps - sum(
                         (q & xs).bit_count() for q in reaches)
-        total += size * sum(sums[c] * (scale // c) for c in range(1, i + 2))
-        r += size
+        total += in_orbit.bit_count() * sum(sums[c] * (scale // c) for c in range(1, i + 2))
     value, remainder = divmod(total, scale)
     if remainder:
         raise RuntimeError(f"linear_strand_oracle: the orbit-weighted sum on a "

@@ -13,6 +13,10 @@ adjacency onto itself.  A graph that is no H(m, k) in that layout keeps no
 generator, and then every vertex, and every vertex subset, is its own
 orbit.  H(m, k) itself has one vertex orbit.
 
+One closure walk finds the orbits on vertices and on vertex subsets.  The
+linear strand oracle and the i and tau searches start at the roots of
+`orbit_roots`; the full Betti table sums over `orbits`.
+
 Permutations are tuples p of vertex ids, p[v] the image of v.
 """
 
@@ -38,26 +42,23 @@ def _kneser_parameters(n: int):
         k += 1
 
 
-def _lift(m: int, k: int, ground, swap_sides: bool) -> tuple[int, ...]:
-    """The vertex permutation of H(m, k) induced by a map of subset masks,
-    sending each vertex to the same side, or to the other one."""
-    # A mask's index among the masks of its size is its index on its side.
-    sides = kneser_sides(m, k)
-    rank = {a: i for side in sides for i, a in enumerate(side)}
-    half = len(sides[0])
-    return tuple(rank[ground(a)] + (half if right != swap_sides else 0)
-                 for right, side in enumerate(sides) for a in side)
-
-
 def candidate_generators(n: int) -> list[tuple[int, ...]]:
     """For each H(m, k) on n vertices: the transposition (1 2), the cycle
-    (1 2 ... m) and the side swap, as permutations of colex vertex ids."""
+    (1 2 ... m) and the side swap, as permutations of colex vertex ids.
+    Each lifts a map of subset masks, sending every vertex to the same
+    side, or, for the swap, to the other one."""
     out = []
     for m, k in _kneser_parameters(n):
         full = (1 << m) - 1
-        out.append(_lift(m, k, lambda a: a ^ 0b11 if (a ^ a >> 1) & 1 else a, False))
-        out.append(_lift(m, k, lambda a: (a << 1 | a >> (m - 1)) & full, False))
-        out.append(_lift(m, k, lambda a: full ^ a, True))
+        sides = kneser_sides(m, k)
+        # A mask's index among the masks of its size is its index on its side.
+        rank = {a: i for side in sides for i, a in enumerate(side)}
+        half = len(sides[0])
+        for ground, swap_sides in ((lambda a: a ^ 0b11 if (a ^ a >> 1) & 1 else a, False),
+                                   (lambda a: (a << 1 | a >> (m - 1)) & full, False),
+                                   (lambda a: full ^ a, True)):
+            out.append(tuple(rank[ground(a)] + (half if right != swap_sides else 0)
+                             for right, side in enumerate(sides) for a in side))
     return out
 
 
@@ -82,23 +83,51 @@ def automorphisms(adj) -> list[tuple[int, ...]]:
                    for v, row in enumerate(adj))]
 
 
-def vertex_orbits(n: int, generators) -> list[tuple[int, ...]]:
-    """The orbits of the group the generators span on the vertices 0..n-1,
-    each as a sorted tuple, in increasing order of smallest vertex."""
-    seen = bytearray(n)
-    out = []
-    for v in range(n):
+def _closure(size: int, maps):
+    """Yield each orbit of the group the maps span on the points 0..size-1,
+    as a list that starts at its smallest point, in increasing order of that
+    point.  Each map is a sequence: maps[j][x] is the image of x."""
+    seen = bytearray(size)
+    for v in range(size):
         if seen[v]:
             continue
         seen[v] = 1
         orbit = [v]
         for x in orbit:
-            for perm in generators:
-                y = perm[x]
+            for t in maps:
+                y = t[x]
                 if not seen[y]:
                     seen[y] = 1
                     orbit.append(y)
-        out.append(tuple(sorted(orbit)))
+        yield orbit
+
+
+def vertex_orbits(n: int, generators) -> list[tuple[int, ...]]:
+    """The orbits of the group the generators span on the vertices 0..n-1,
+    each as a sorted tuple, in increasing order of smallest vertex."""
+    return [tuple(sorted(orbit)) for orbit in _closure(n, generators)]
+
+
+def orbit_roots(adj) -> list[tuple[int, int, int]]:
+    """(r, orbit, earlier) for each vertex orbit O of the verified
+    automorphisms of the graph with adjacency rows adj, in order of smallest
+    vertex: r is the smallest vertex of O, orbit the mask of O, and earlier
+    the mask of the vertices of the orbits before O.
+
+    Every nonempty vertex set S meets some first orbit O, and an
+    automorphism maps a vertex of S in O to r.  Since it preserves every
+    orbit, it maps S onto a set that holds r and misses earlier, with the
+    same size, the same |S & O'| for every orbit O', and an isomorphic
+    induced subgraph: the same independence, domination and slice homology.
+    So a search for such a set need only start at these roots.  A graph
+    with no verified generator has n singleton orbits, and the roots split
+    the sets by their smallest vertex."""
+    out = []
+    earlier = 0
+    for orbit in _closure(len(adj), automorphisms(adj)):
+        mask = sum(1 << v for v in orbit)
+        out.append((orbit[0], mask, earlier))
+        earlier |= mask
     return out
 
 
@@ -108,19 +137,5 @@ def orbits(n: int, generators):
     smallest mask.  Holds a bytearray of 2^n marks and, for each generator,
     an array of the images of all 2^n masks while it runs."""
     tables = [_mask_images(perm, n) for perm in generators]
-    seen = bytearray(1 << n)
-    for w in range(1 << n):
-        if seen[w]:
-            continue
-        seen[w] = 1
-        size = 1
-        todo = [w]
-        while todo:
-            x = todo.pop()
-            for t in tables:
-                y = t[x]
-                if not seen[y]:
-                    seen[y] = 1
-                    size += 1
-                    todo.append(y)
-        yield w, size
+    for orbit in _closure(1 << n, tables):
+        yield orbit[0], len(orbit)

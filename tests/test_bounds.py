@@ -238,7 +238,9 @@ def test_maximal_independent_sets_match_networkx(g: Graph) -> None:
     ref.remove_edges_from(g.edges())
     want = sorted(mask_of(v + 1 for v in clique)
                   for clique in nx.find_cliques(ref))
-    assert _maximal_independent_sets(g, Guards()) == want
+    # singleton roots: each set is found from its smallest vertex
+    roots = [(v, 1 << v, (1 << v) - 1) for v in range(g.n)]
+    assert _maximal_independent_sets(g, Guards(), roots) == want
 
 
 def test_tau_examples() -> None:

@@ -124,7 +124,7 @@ def test_linear_strand_guard() -> None:
 def test_linear_strand_refuses_a_fractional_orbit_sum(monkeypatch) -> None:
     # A 3-cycle passed off as an automorphism of the path 0-1-2 puts all
     # three vertices in one orbit; the weighted sum is then 3/2.
-    monkeypatch.setattr("kneserhom.hochster.automorphisms", lambda adj: [(1, 2, 0)])
+    monkeypatch.setattr("kneserhom.symmetry.automorphisms", lambda adj: [(1, 2, 0)])
     with pytest.raises(RuntimeError, match="3-vertex graph at i=1 is not an integer"):
         linear_strand_oracle(Graph.from_edges(3, [(0, 1), (1, 2)]), 1)
 

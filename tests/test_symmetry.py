@@ -9,9 +9,10 @@ A random relabelling of H(m, k) keeps none of the candidate generators, so
 equal the one summed over the orbits of the unrelabelled graph.  The linear
 strand is checked against a union-find count written here, sharing no code
 with `hochster`, on graphs with one vertex orbit, with n singleton orbits,
-with orbits of sizes 1 and 2, and on dense and sparse random graphs.  The
-first three kinds of graph check the searches of `bounds`, which start at
-one vertex per orbit, against the brute forces of `conftest`.
+with orbits of sizes 1 and 2, with two orbits that interleave in id
+order, and on dense and sparse random graphs.  All but the random graphs
+also check the searches of `bounds`, which start at one vertex per orbit,
+against the brute forces of `conftest`.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from kneserhom.hochster import (enumerate_faces, full_betti_oracle,
                                 linear_strand_oracle, reduced_homology_dims)
 from kneserhom.kneser import build
 from kneserhom.symmetry import (_kneser_parameters, _mask_images, automorphisms,
-                                candidate_generators, orbits, vertex_orbits)
+                                candidate_generators, orbit_roots, orbits,
+                                vertex_orbits)
 
 from conftest import brute_gamma, brute_independent_domination
 
@@ -64,6 +66,15 @@ def without_rung_edge(m: int, k: int) -> Graph:
     a = kn.left_id((1 << k) - 1)
     b = kn.right_id((1 << (m - k)) - 1)
     return Graph.from_edges(kn.graph.n, [e for e in kn.graph.edges() if e != (a, b)])
+
+
+def two_paths() -> Graph:
+    """H(3,1) less {1}--{1,3} and {2}--{2,3}: the paths {1} {1,2} {2} and
+    {1,3} {3} {2,3}, whose vertex orbits (0, 1, 4, 5) and (2, 3) interleave
+    in id order."""
+    kn = build(3, 1)
+    drop = {(kn.left_id(0b001), kn.right_id(0b101)), (kn.left_id(0b010), kn.right_id(0b110))}
+    return Graph.from_edges(kn.graph.n, [e for e in kn.graph.edges() if e not in drop])
 
 
 def closure_orbits(n: int, gens) -> list[tuple[int, ...]]:
@@ -256,6 +267,15 @@ def test_strand_over_orbits_of_sizes_one_and_two() -> None:
     assert strand[:3] == [29, 56, 18]
 
 
+def test_strand_walk_skips_the_vertices_of_earlier_orbits() -> None:
+    # vertices 4 and 5 lie above the root 2 of the second orbit but belong
+    # to the first; a W that holds them was counted from the first orbit
+    g = two_paths()
+    assert vertex_orbits(g.n, automorphisms(g.adj)) == [(0, 1, 4, 5), (2, 3)]
+    for i in range(1, g.n):
+        assert linear_strand_oracle(g, i) == brute_strand(g, i), i
+
+
 @st.composite
 def dense_or_sparse_graphs(draw, max_n: int = 9) -> Graph:
     """A graph on 2 to max_n vertices: a few pairs flipped from the edgeless
@@ -295,6 +315,31 @@ def test_table_equals_plain_sum(g: Graph) -> None:
 def test_kneser_graph_has_one_vertex_orbit(m: int, k: int) -> None:
     g = build(m, k).graph
     assert vertex_orbits(g.n, automorphisms(g.adj)) == [tuple(range(g.n))]
+
+
+def test_orbit_roots_of_one_orbit_and_of_singletons() -> None:
+    g = build(5, 2).graph
+    assert orbit_roots(g.adj) == [(0, g.full_mask, 0)]
+    g = relabelled(build(4, 2).graph)
+    assert orbit_roots(g.adj) == [(r, 1 << r, (1 << r) - 1) for r in range(g.n)]
+
+
+def test_orbit_roots_of_interleaved_orbits() -> None:
+    assert orbit_roots(two_paths().adj) == [(0, 0b110011, 0), (2, 0b001100, 0b110011)]
+
+
+def test_orbit_roots_partition_the_vertices() -> None:
+    g = without_rung_edge(5, 2)
+    roots = orbit_roots(g.adj)
+    earlier = 0
+    for r, orbit, before in roots:
+        assert before == earlier
+        assert orbit & earlier == 0
+        assert r == (orbit & -orbit).bit_length() - 1
+        earlier |= orbit
+    assert earlier == g.full_mask
+    assert [(r, orbit) for r, orbit, _ in roots] == [
+        (o[0], sum(1 << v for v in o)) for o in closure_orbits(g.n, automorphisms(g.adj))]
 
 
 def test_vertex_orbits_of_no_generator_are_singletons() -> None:
@@ -366,12 +411,9 @@ def test_searches_over_orbits_of_sizes_one_and_two() -> None:
 
 
 def test_domination_search_needs_a_later_orbit() -> None:
-    # H(3,1) less {1}--{1,3} and {2}--{2,3}: the paths {1} {1,2} {2} and
-    # {1,3} {3} {2,3}.  The leaves are the first orbit and lie in no minimum
+    # The leaves of the two paths are the first orbit and lie in no minimum
     # independent dominating set; the two middle vertices form one.
-    kn = build(3, 1)
-    drop = {(kn.left_id(0b001), kn.right_id(0b101)), (kn.left_id(0b010), kn.right_id(0b110))}
-    g = Graph.from_edges(kn.graph.n, [e for e in kn.graph.edges() if e not in drop])
+    g = two_paths()
     assert vertex_orbits(g.n, automorphisms(g.adj)) == [(0, 1, 4, 5), (2, 3)]
     assert brute_independent_domination(g) == 2
     assert_searches_match_brute_force(g)
