@@ -24,24 +24,27 @@ def _n_exact_cached(m: int, q: int, r: int, t: int) -> int:
     return n_exact(m, q, r, t)
 
 
-def betti_linear(m: int, k: int, i: int) -> int:
-    """beta_{i, i+1}(R/I(H(m, k))) in exact integer arithmetic.
+def _strand(m: int, k: int, i_max: int) -> list[int]:
+    """beta_{i, i+1} for i = 1 .. i_max, each
 
         sum over r + s = i + 1 (r, s >= 1) and t in [k, m-k] of
         C(C(t,k), r) * C(m, t) * n_exact(m, s, m-k, t)
-    """
+
+    from two tables built once: left[r-1][t-k] = C(C(t,k), r) * C(m, t) and
+    right[s-1][t-k] = n_exact(m, s, m-k, t), for r, s <= i_max."""
+    ts = range(k, m - k + 1)
+    left = [[binom(binom(t, k), r) * binom(m, t) for t in ts] for r in range(1, i_max + 1)]
+    right = [[_n_exact_cached(m, s, m - k, t) for t in ts] for s in range(1, i_max + 1)]
+    return [sum(a * b for r in range(i) for a, b in zip(left[r], right[i - 1 - r]))
+            for i in range(1, i_max + 1)]
+
+
+def betti_linear(m: int, k: int, i: int) -> int:
+    """beta_{i, i+1}(R/I(H(m, k))) in exact integer arithmetic."""
     check_mk(m, k)
     if i < 1:
         raise ValueError(f"i must be >= 1, got {i}")
-    total = 0
-    for r in range(1, i + 1):
-        s = i + 1 - r
-        for t in range(k, m - k + 1):
-            left_choices = binom(binom(t, k), r)
-            if left_choices == 0:
-                continue
-            total += left_choices * binom(m, t) * _n_exact_cached(m, s, m - k, t)
-    return total
+    return _strand(m, k, i)[-1]
 
 
 @dataclass(frozen=True)
@@ -66,7 +69,7 @@ def linear_strand(m: int, k: int, i_max: int) -> LinearStrand:
     check_mk(m, k)
     if i_max < 1:
         raise ValueError(f"i_max must be >= 1, got {i_max}")
-    values = tuple(betti_linear(m, k, i) for i in range(1, i_max + 1))
+    values = tuple(_strand(m, k, i_max))
     return LinearStrand(m, k, values)
 
 

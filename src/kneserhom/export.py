@@ -1,36 +1,27 @@
 """Emit H(m, k) and its edge ideal for external tools.
 
 Variable naming: xL<r> for the left vertex of colex rank r, xR<r> for the
-right one.  Generators are listed one per edge, left rank ascending then
-right rank ascending, so output is byte-stable.
+right one.  Every format lists the edges `kneser.build` keeps on
+`KneserGraph.edges`, left id ascending then right id ascending, so output
+is byte-stable.  The texts are written directly: the JSON is the text
+`json.dumps(payload, indent=2, sort_keys=True)` gives, without its
+pure-Python indenting encoder.
 """
 
 from __future__ import annotations
 
-import json
-
 from .combinatorics import elements_of, subset_str
-from .graphs import to_dot
 from .kneser import KneserGraph
 
 
-def _var(kn: KneserGraph, vid: int) -> str:
-    if vid < kn.n_left:
-        return f"xL{vid}"
-    return f"xR{vid - kn.n_left}"
-
-
-def _variables(kn: KneserGraph) -> list[str]:
-    return [f"xL{r}" for r in range(kn.n_left)] + [f"xR{r}" for r in range(kn.n_left)]
-
-
-def _generators(kn: KneserGraph) -> list[str]:
-    return [f"{_var(kn, u)}*{_var(kn, v)}" for u, v in kn.graph.edges()]
+def _ideal(kn: KneserGraph) -> tuple[str, str]:
+    """The comma-joined variables, by vertex id, and edge generators."""
+    names = [f"xL{r}" for r in range(kn.n_left)] + [f"xR{r}" for r in range(kn.n_left)]
+    return ",".join(names), ",".join([f"{names[u]}*{names[v]}" for u, v in kn.edges])
 
 
 def to_macaulay2(kn: KneserGraph) -> str:
-    variables = ",".join(_variables(kn))
-    gens = ",".join(_generators(kn))
+    variables, gens = _ideal(kn)
     return (
         f"-- edge ideal of the bipartite Kneser graph H({kn.m},{kn.k})\n"
         f"R = QQ[{variables}];\n"
@@ -40,8 +31,7 @@ def to_macaulay2(kn: KneserGraph) -> str:
 
 
 def to_singular(kn: KneserGraph) -> str:
-    variables = ",".join(_variables(kn))
-    gens = ",".join(_generators(kn))
+    variables, gens = _ideal(kn)
     return (
         f"// edge ideal of the bipartite Kneser graph H({kn.m},{kn.k})\n"
         f"ring R = 0,({variables}),dp;\n"
@@ -52,27 +42,31 @@ def to_singular(kn: KneserGraph) -> str:
     )
 
 
-def to_dot_graph(kn: KneserGraph) -> str:
-    def attrs(vid: int) -> str:
-        return (f'label="{subset_str(kn.subset_of(vid))}", '
-                f'side="{kn.side_of(vid).value}"')
+def _vertices(kn: KneserGraph):
+    """Yield (id, side letter, subset mask) for every vertex, by id."""
+    for right, side in enumerate(kn.sides):
+        tag = kn.side_of(right * kn.n_left).value
+        for vid, mask in enumerate(side, right * kn.n_left):
+            yield vid, tag, mask
 
-    return to_dot(kn.graph, name=f"H_{kn.m}_{kn.k}", attrs=attrs)
+
+def to_dot_graph(kn: KneserGraph) -> str:
+    lines = [f"graph H_{kn.m}_{kn.k} {{"]
+    lines.extend([f'  v{vid} [label="{subset_str(mask)}", side="{tag}"];'
+                  for vid, tag, mask in _vertices(kn)])
+    lines.extend([f"  v{u} -- v{v};" for u, v in kn.edges])
+    lines.append("}\n")
+    return "\n".join(lines)
 
 
 def to_json_graph(kn: KneserGraph) -> str:
-    vertices = []
-    for vid in range(2 * kn.n_left):
-        mask = kn.subset_of(vid)
-        vertices.append({
-            "id": vid,
-            "side": kn.side_of(vid).value,
-            "subset": list(elements_of(mask)),
-        })
-    payload = {
-        "m": kn.m,
-        "k": kn.k,
-        "vertices": vertices,
-        "edges": [[u, v] for u, v in kn.graph.edges()],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
+    """The object {"edges": [[u, v], ...], "k", "m", "vertices": [{"id",
+    "side", "subset"}, ...]} with two-space indents and sorted keys."""
+    edges = ",\n".join([f"    [\n      {u},\n      {v}\n    ]" for u, v in kn.edges])
+    vertices = ",\n".join([
+        f'    {{\n      "id": {vid},\n      "side": "{tag}",\n      "subset": [\n'
+        + ",\n".join([f"        {e}" for e in elements_of(mask)])
+        + "\n      ]\n    }"
+        for vid, tag, mask in _vertices(kn)])
+    return (f'{{\n  "edges": [\n{edges}\n  ],\n  "k": {kn.k},\n  "m": {kn.m},\n'
+            f'  "vertices": [\n{vertices}\n  ]\n}}')

@@ -234,19 +234,3 @@ def induced_matching_number(g: Graph, guards: Guards = DEFAULT_GUARDS,
     witness = tuple(edges[i] for i in bit_indices(best_set))
     return InducedMatching(best, witness)
 
-
-# ---------------------------------------------------------------------------
-# emission
-# ---------------------------------------------------------------------------
-
-
-def to_dot(g: Graph, name: str = "G", attrs=None) -> str:
-    """Deterministic DOT rendering; attrs(v), when given, is the attribute
-    list of node v."""
-    lines = [f"graph {name} {{"]
-    for v in range(g.n):
-        lines.append(f"  v{v} [{attrs(v)}];" if attrs else f"  v{v};")
-    for u, v in g.edges():
-        lines.append(f"  v{u} -- v{v};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

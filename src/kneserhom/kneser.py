@@ -7,7 +7,9 @@ Vertex layout of H(m, k): the left side holds all k-subsets of [m] at ids
 C(m,k) .. 2C(m,k)-1 in colex order.  {A, B} is an edge iff A is contained
 in B.  For m = 2k this degenerates to a ladder: C(2k,k) disjoint rungs.
 `build` lists both sides once, with `combinatorics.kneser_sides`, and keeps
-them on the graph; ids and subsets are read off those stored sides.
+them on the graph; ids and subsets are read off those stored sides.  It
+also keeps the edge list it builds the adjacency from, sorted as
+`Graph.edges()` sorts, for the exports to read.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ class KneserGraph:
     k: int
     graph: Graph
     sides: tuple[tuple[int, ...], tuple[int, ...]]  # left, right masks by id
+    edges: EdgeSet  # (left id, right id), left id then right id ascending
 
     @property
     def n_left(self) -> int:
@@ -81,11 +84,12 @@ def build(m: int, k: int, guards: Guards = DEFAULT_GUARDS) -> KneserGraph:
         rest = elements_of(full & ~a)
         for extra in itertools.combinations(rest, m - 2 * k):
             edges.append((ra, right_ids[a | mask_of(extra)]))
+    edges.sort()
     g = Graph.from_edges(2 * n_left, edges)
     degree = binom(m - k, k)
     assert all(row.bit_count() == degree for row in g.adj), \
         f"H({m},{k}) is not {degree}-regular"
-    return KneserGraph(m, k, g, sides)
+    return KneserGraph(m, k, g, sides, tuple(edges))
 
 
 def _check_spread(kn: KneserGraph, s: int) -> None:

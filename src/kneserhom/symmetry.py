@@ -102,12 +102,6 @@ def _closure(size: int, maps):
         yield orbit
 
 
-def vertex_orbits(n: int, generators) -> list[tuple[int, ...]]:
-    """The orbits of the group the generators span on the vertices 0..n-1,
-    each as a sorted tuple, in increasing order of smallest vertex."""
-    return [tuple(sorted(orbit)) for orbit in _closure(n, generators)]
-
-
 def orbit_roots(adj) -> list[tuple[int, int, int]]:
     """(r, orbit, earlier) for each vertex orbit O of the verified
     automorphisms of the graph with adjacency rows adj, in order of smallest

@@ -1,7 +1,14 @@
+"""The exports of H(m, k).  They are written from `KneserGraph.edges`; the
+tests at the end check them against the edges of the built adjacency and
+against texts written here by `json.dumps` and a plain DOT writer.
+"""
+
 from __future__ import annotations
 
 import json
 import re
+
+import pytest
 
 from kneserhom.combinatorics import elements_of, subset_str
 from kneserhom.export import (
@@ -10,6 +17,7 @@ from kneserhom.export import (
     to_macaulay2,
     to_singular,
 )
+from kneserhom.kneser import KneserGraph, build
 
 
 def test_macaulay2_output(kn21, kn52) -> None:
@@ -75,3 +83,50 @@ def test_vertex_labels_follow_the_colex_layout(kn52) -> None:
         assert vertices[v] == {"id": v, "side": side,
                                "subset": list(elements_of(subset))}
         assert len(vertices[v]["subset"]) == (2 if side == "L" else 3)
+
+
+# Ladders (m = 2k), one m = 2k + 1 case per k up to 4, and H(12, 5).
+EMITTED = [(2, 1), (3, 1), (4, 2), (5, 2), (6, 3), (7, 3), (9, 4), (12, 5)]
+
+
+@pytest.fixture(scope="module", params=EMITTED, ids=lambda mk: f"H{mk}")
+def emitted(request) -> KneserGraph:
+    return build(*request.param)
+
+
+def reference_dot(kn: KneserGraph) -> str:
+    lines = [f"graph H_{kn.m}_{kn.k} {{"]
+    for v in range(kn.graph.n):
+        lines.append(f'  v{v} [label="{subset_str(kn.subset_of(v))}", '
+                     f'side="{kn.side_of(v).value}"];')
+    lines.extend(f"  v{u} -- v{v};" for u, v in kn.graph.edges())
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def reference_json(kn: KneserGraph) -> str:
+    vertices = [{"id": v, "side": kn.side_of(v).value,
+                 "subset": list(elements_of(kn.subset_of(v)))}
+                for v in range(kn.graph.n)]
+    payload = {"m": kn.m, "k": kn.k, "vertices": vertices,
+               "edges": [list(e) for e in kn.graph.edges()]}
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def test_kept_edges_are_the_adjacency_edges(emitted) -> None:
+    assert emitted.edges == emitted.graph.edges()
+
+
+def test_dot_equals_a_writer_over_the_adjacency(emitted) -> None:
+    assert to_dot_graph(emitted) == reference_dot(emitted)
+
+
+def test_json_equals_json_dumps_over_the_adjacency(emitted) -> None:
+    assert to_json_graph(emitted) == reference_json(emitted)
+
+
+def test_generators_are_the_adjacency_edges(emitted) -> None:
+    n = emitted.n_left
+    gens = re.search(r"monomialIdeal\((.*)\);", to_macaulay2(emitted)).group(1)
+    pairs = [re.fullmatch(r"xL(\d+)\*xR(\d+)", g).groups() for g in gens.split(",")]
+    assert tuple((int(a), n + int(b)) for a, b in pairs) == emitted.graph.edges()
+    assert f"ideal I = {gens};" in to_singular(emitted)

@@ -17,7 +17,6 @@ from kneserhom.graphs import (
     is_cochordal,
     neighborhood,
     three_disjoint,
-    to_dot,
 )
 from kneserhom.export import to_dot_graph
 from kneserhom.kneser import build
@@ -218,9 +217,3 @@ def test_to_dot_is_deterministic(kn21) -> None:
     assert 'side="L"' in out and 'side="R"' in out
     assert out.count(" -- ") == kn21.graph.edge_count()
 
-
-def test_to_dot_node_attributes() -> None:
-    g = path_graph(2)
-    assert to_dot(g) == "graph G {\n  v0;\n  v1;\n  v0 -- v1;\n}\n"
-    out = to_dot(g, name="P", attrs=lambda v: f'color="c{v}"')
-    assert out == 'graph P {\n  v0 [color="c0"];\n  v1 [color="c1"];\n  v0 -- v1;\n}\n'

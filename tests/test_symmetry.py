@@ -30,9 +30,9 @@ from kneserhom.graphs import Graph
 from kneserhom.hochster import (enumerate_faces, full_betti_oracle,
                                 linear_strand_oracle, reduced_homology_dims)
 from kneserhom.kneser import build
-from kneserhom.symmetry import (_kneser_parameters, _mask_images, automorphisms,
-                                candidate_generators, orbit_roots, orbits,
-                                vertex_orbits)
+from kneserhom.symmetry import (_closure, _kneser_parameters, _mask_images,
+                                automorphisms, candidate_generators, orbit_roots,
+                                orbits)
 
 from conftest import brute_gamma, brute_independent_domination
 
@@ -75,6 +75,13 @@ def two_paths() -> Graph:
     kn = build(3, 1)
     drop = {(kn.left_id(0b001), kn.right_id(0b101)), (kn.left_id(0b010), kn.right_id(0b110))}
     return Graph.from_edges(kn.graph.n, [e for e in kn.graph.edges() if e not in drop])
+
+
+def orbit_sets(g: Graph) -> list[tuple[int, ...]]:
+    """The vertex orbits of g's verified automorphisms, read off
+    `orbit_roots`, as sorted tuples in order of smallest vertex."""
+    return [tuple(v for v in range(g.n) if orbit >> v & 1)
+            for _, orbit, _ in orbit_roots(g.adj)]
 
 
 def closure_orbits(n: int, gens) -> list[tuple[int, ...]]:
@@ -243,7 +250,7 @@ def test_h71_has_the_burnside_count_of_orbits() -> None:
 @pytest.mark.parametrize("m,k", [(m, 1) for m in range(2, 7)] + [(4, 2), (5, 2)])
 def test_strand_over_one_vertex_orbit_equals_brute_force(m: int, k: int) -> None:
     g = build(m, k).graph
-    assert len(vertex_orbits(g.n, automorphisms(g.adj))) == 1
+    assert len(orbit_sets(g)) == 1
     for i in strand_degrees(g.n):
         assert linear_strand_oracle(g, i) == brute_strand(g, i), (m, k, i)
 
@@ -258,9 +265,8 @@ def test_strand_with_no_generator_equals_brute_force(m: int, k: int) -> None:
 
 def test_strand_over_orbits_of_sizes_one_and_two() -> None:
     g = without_rung_edge(5, 2)
-    kept = automorphisms(g.adj)
-    assert kept == [own_candidates(5, 2)[0]]
-    parts = vertex_orbits(g.n, kept)
+    assert automorphisms(g.adj) == [own_candidates(5, 2)[0]]
+    parts = orbit_sets(g)
     assert len(parts) == 14 and {len(o) for o in parts} == {1, 2}
     strand = [linear_strand_oracle(g, i) for i in strand_degrees(g.n)]
     assert strand == [brute_strand(g, i) for i in strand_degrees(g.n)]
@@ -271,7 +277,7 @@ def test_strand_walk_skips_the_vertices_of_earlier_orbits() -> None:
     # vertices 4 and 5 lie above the root 2 of the second orbit but belong
     # to the first; a W that holds them was counted from the first orbit
     g = two_paths()
-    assert vertex_orbits(g.n, automorphisms(g.adj)) == [(0, 1, 4, 5), (2, 3)]
+    assert orbit_sets(g) == [(0, 1, 4, 5), (2, 3)]
     for i in range(1, g.n):
         assert linear_strand_oracle(g, i) == brute_strand(g, i), i
 
@@ -314,7 +320,7 @@ def test_table_equals_plain_sum(g: Graph) -> None:
                                  if 2 * binom(m, k) <= 70])
 def test_kneser_graph_has_one_vertex_orbit(m: int, k: int) -> None:
     g = build(m, k).graph
-    assert vertex_orbits(g.n, automorphisms(g.adj)) == [tuple(range(g.n))]
+    assert orbit_sets(g) == [tuple(range(g.n))]
 
 
 def test_orbit_roots_of_one_orbit_and_of_singletons() -> None:
@@ -344,8 +350,8 @@ def test_orbit_roots_partition_the_vertices() -> None:
 
 def test_vertex_orbits_of_no_generator_are_singletons() -> None:
     g = relabelled(build(5, 2).graph)
-    assert vertex_orbits(g.n, automorphisms(g.adj)) == [(v,) for v in range(g.n)]
-    assert vertex_orbits(3, []) == [(0,), (1,), (2,)]
+    assert orbit_sets(g) == [(v,) for v in range(g.n)]
+    assert list(_closure(3, [])) == [[0], [1], [2]]
 
 
 @pytest.mark.parametrize("g", [build(3, 1).graph, build(6, 3).graph,
@@ -353,9 +359,11 @@ def test_vertex_orbits_of_no_generator_are_singletons() -> None:
                                without_rung_edge(6, 2)])
 def test_vertex_orbits_match_their_closure(g: Graph) -> None:
     gens = automorphisms(g.adj)
-    assert vertex_orbits(g.n, gens) == closure_orbits(g.n, gens)
+    assert orbit_sets(g) == closure_orbits(g.n, gens)
     for p in gens:
-        assert vertex_orbits(g.n, [p]) == closure_orbits(g.n, [p])
+        walked = list(_closure(g.n, [p]))
+        assert all(orbit[0] == min(orbit) for orbit in walked)
+        assert [tuple(sorted(orbit)) for orbit in walked] == closure_orbits(g.n, [p])
 
 
 def brute_tau(g: Graph) -> int:
@@ -387,7 +395,7 @@ SEARCHED = [(m, 1) for m in range(2, 7)] + [(4, 2), (5, 2)]
 @pytest.mark.parametrize("m,k", SEARCHED)
 def test_searches_over_one_vertex_orbit_equal_brute_force(m: int, k: int) -> None:
     g = build(m, k).graph
-    assert len(vertex_orbits(g.n, automorphisms(g.adj))) == 1
+    assert len(orbit_sets(g)) == 1
     assert_searches_match_brute_force(g)
 
 
@@ -400,7 +408,7 @@ def test_searches_with_no_generator_equal_brute_force(m: int, k: int) -> None:
 
 def test_searches_over_orbits_of_sizes_one_and_two() -> None:
     g = without_rung_edge(5, 2)
-    assert len(vertex_orbits(g.n, automorphisms(g.adj))) == 14
+    assert len(orbit_sets(g)) == 14
     assert_searches_match_brute_force(g)
     # Vertex 1 lies in no maximal independent set with covering number
     # tau = 5; moved to id 0 it is the first root, and not enough.
@@ -414,6 +422,6 @@ def test_domination_search_needs_a_later_orbit() -> None:
     # The leaves of the two paths are the first orbit and lie in no minimum
     # independent dominating set; the two middle vertices form one.
     g = two_paths()
-    assert vertex_orbits(g.n, automorphisms(g.adj)) == [(0, 1, 4, 5), (2, 3)]
+    assert orbit_sets(g) == [(0, 1, 4, 5), (2, 3)]
     assert brute_independent_domination(g) == 2
     assert_searches_match_brute_force(g)
