@@ -1,9 +1,9 @@
 """Emit H(m, k) and its edge ideal for external tools.
 
 Variable naming: xL<r> for the left vertex of colex rank r, xR<r> for the
-right one.  Every format lists the edges `kneser.build` keeps on
-`KneserGraph.edges`, left id ascending then right id ascending, so output
-is byte-stable.  The texts are written directly: the JSON is the text
+right one.  Every format lists the edges of the built adjacency as
+`Graph.edges()` gives them, left id ascending then right id ascending, so
+output is byte-stable.  The texts are written directly: the JSON is the text
 `json.dumps(payload, indent=2, sort_keys=True)` gives, without its
 pure-Python indenting encoder.
 """
@@ -17,7 +17,7 @@ from .kneser import KneserGraph
 def _ideal(kn: KneserGraph) -> tuple[str, str]:
     """The comma-joined variables, by vertex id, and edge generators."""
     names = [f"xL{r}" for r in range(kn.n_left)] + [f"xR{r}" for r in range(kn.n_left)]
-    return ",".join(names), ",".join([f"{names[u]}*{names[v]}" for u, v in kn.edges])
+    return ",".join(names), ",".join([f"{names[u]}*{names[v]}" for u, v in kn.graph.edges()])
 
 
 def to_macaulay2(kn: KneserGraph) -> str:
@@ -54,7 +54,7 @@ def to_dot_graph(kn: KneserGraph) -> str:
     lines = [f"graph H_{kn.m}_{kn.k} {{"]
     lines.extend([f'  v{vid} [label="{subset_str(mask)}", side="{tag}"];'
                   for vid, tag, mask in _vertices(kn)])
-    lines.extend([f"  v{u} -- v{v};" for u, v in kn.edges])
+    lines.extend([f"  v{u} -- v{v};" for u, v in kn.graph.edges()])
     lines.append("}\n")
     return "\n".join(lines)
 
@@ -62,7 +62,7 @@ def to_dot_graph(kn: KneserGraph) -> str:
 def to_json_graph(kn: KneserGraph) -> str:
     """The object {"edges": [[u, v], ...], "k", "m", "vertices": [{"id",
     "side", "subset"}, ...]} with two-space indents and sorted keys."""
-    edges = ",\n".join([f"    [\n      {u},\n      {v}\n    ]" for u, v in kn.edges])
+    edges = ",\n".join([f"    [\n      {u},\n      {v}\n    ]" for u, v in kn.graph.edges()])
     vertices = ",\n".join([
         f'    {{\n      "id": {vid},\n      "side": "{tag}",\n      "subset": [\n'
         + ",\n".join([f"        {e}" for e in elements_of(mask)])

@@ -23,6 +23,11 @@ class Side(Enum):
 
 @dataclass(frozen=True)
 class Graph:
+    """A simple graph on vertices 0 .. n-1, refused at construction unless
+    every row is in range, has no self-loop and is mirrored: each edge is
+    checked once, from its lower end, and the entry counts of the two
+    triangles must agree (see `__post_init__`)."""
+
     n: int
     adj: tuple[int, ...]  # adj[v] = bitmask of neighbours of v
 
@@ -37,10 +42,29 @@ class Graph:
                 raise ValueError(f"Graph: adjacency of {v} mentions vertices >= n")
             if row >> v & 1:
                 raise ValueError(f"Graph: self-loop at {v}")
-        for v, row in enumerate(self.adj):
-            for u in bit_indices(row):
-                if not self.adj[u] >> v & 1:
+        # Symmetry, once per edge: every entry (v, u) above the diagonal
+        # must have its mirror (u, v).  Distinct upper entries have distinct
+        # mirrors, so once they all do, the lower triangle holds at least
+        # as many entries as the upper one; equal counts (twice the upper
+        # count is the sum of all row popcounts) then leave no lower entry
+        # without its mirror.  The rows are in range by now, so each walk
+        # below ends.
+        adj = self.adj
+        upper = 0
+        for v, row in enumerate(adj):
+            higher = row >> (v + 1)
+            upper += higher.bit_count()
+            while higher:
+                low = higher & -higher
+                u = v + low.bit_length()
+                if not adj[u] >> v & 1:
                     raise ValueError(f"Graph: adjacency not symmetric at ({v},{u})")
+                higher ^= low
+        if 2 * upper != sum(row.bit_count() for row in adj):
+            v, u = next((v, u) for v, row in enumerate(adj)
+                        for u in bit_indices(row & (1 << v) - 1)
+                        if not adj[u] >> v & 1)
+            raise ValueError(f"Graph: adjacency not symmetric at ({v},{u})")
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Graph":
@@ -59,12 +83,15 @@ class Graph:
         return (1 << self.n) - 1
 
     def edges(self) -> tuple[tuple[int, int], ...]:
+        """Every edge (v, u) with v < u, v ascending, then u ascending."""
         out = []
-        for v in range(self.n):
-            higher = self.adj[v] >> (v + 1) << (v + 1)
-            for u in bit_indices(higher):
-                out.append((v, u))
-        return tuple(sorted(out))
+        for v, row in enumerate(self.adj):
+            higher = row >> (v + 1)
+            while higher:
+                low = higher & -higher
+                out.append((v, v + low.bit_length()))
+                higher ^= low
+        return tuple(out)
 
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2

@@ -7,9 +7,11 @@ Vertex layout of H(m, k): the left side holds all k-subsets of [m] at ids
 C(m,k) .. 2C(m,k)-1 in colex order.  {A, B} is an edge iff A is contained
 in B.  For m = 2k this degenerates to a ladder: C(2k,k) disjoint rungs.
 `build` lists both sides once, with `combinatorics.kneser_sides`, and keeps
-them on the graph; ids and subsets are read off those stored sides.  It
-also keeps the edge list it builds the adjacency from, sorted as
-`Graph.edges()` sorts, for the exports to read.
+them on the graph; ids and subsets are read off those stored sides.  Each
+row is the AND of k per-element masks: a left A is adjacent to the right
+sets that hold every element of A, a right B to the left sets that miss
+every element outside B.  The rows go through the `Graph` checks, and the
+edges are read back from the checked adjacency with `Graph.edges()`.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_
 
 from .combinatorics import (binom, bit_indices, check_mk, elements_of,
                             kneser_sides, mask_of, subset_str)
@@ -33,7 +37,6 @@ class KneserGraph:
     k: int
     graph: Graph
     sides: tuple[tuple[int, ...], tuple[int, ...]]  # left, right masks by id
-    edges: EdgeSet  # (left id, right id), left id then right id ascending
 
     @property
     def n_left(self) -> int:
@@ -77,19 +80,26 @@ def build(m: int, k: int, guards: Guards = DEFAULT_GUARDS) -> KneserGraph:
     n_left = binom(m, k)
     guards.check("max_subsets", 2 * n_left, f"build H({m},{k})")
     left, right = sides = kneser_sides(m, k)
-    full = (1 << m) - 1
-    right_ids = {b: n_left + r for r, b in enumerate(right)}
-    edges = []
+    # A is inside B iff B holds every element of A, iff A misses every
+    # element outside B.  holds[e] marks the right ids whose subset holds
+    # e, misses[e] the left ids whose subset misses e; each row is then the
+    # AND of k of them.
+    holds = [0] * m
+    for rb, b in enumerate(right, n_left):
+        for e in bit_indices(b):
+            holds[e] |= 1 << rb
+    misses = [(1 << n_left) - 1] * m
     for ra, a in enumerate(left):
-        rest = elements_of(full & ~a)
-        for extra in itertools.combinations(rest, m - 2 * k):
-            edges.append((ra, right_ids[a | mask_of(extra)]))
-    edges.sort()
-    g = Graph.from_edges(2 * n_left, edges)
+        for e in bit_indices(a):
+            misses[e] ^= 1 << ra
+    full = (1 << m) - 1
+    adj = [reduce(and_, [holds[e] for e in bit_indices(a)]) for a in left]
+    adj += [reduce(and_, [misses[e] for e in bit_indices(full ^ b)]) for b in right]
+    g = Graph(2 * n_left, tuple(adj))
     degree = binom(m - k, k)
     assert all(row.bit_count() == degree for row in g.adj), \
         f"H({m},{k}) is not {degree}-regular"
-    return KneserGraph(m, k, g, sides, tuple(edges))
+    return KneserGraph(m, k, g, sides)
 
 
 def _check_spread(kn: KneserGraph, s: int) -> None:

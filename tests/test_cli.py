@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -352,6 +353,24 @@ def test_export_formats(capsys, fmt: str, needle: str) -> None:
     code, out, _ = run(capsys, "export", "4", "2", "--format", fmt)
     assert code == 0
     assert needle in out
+
+
+# sha256 of the stdout of `export 12 5` in each format, as the exports
+# printed it when they were written from the edge list of the build.  The
+# golden file covers only `export 5 2`.
+EXPORT_12_5 = {
+    "m2": "c7b0c6834ca5ce7c478fb0258572b56bdf464017a27ba5d0f40106fa2fb132f8",
+    "singular": "a8d5043d6bcbb655a53a67b87a78519edc436a3e83fb7e37223f2d174dc82b57",
+    "dot": "9934dc209a1c38377e45d908773737e5136a4a1c3155bf2e6989e6a4e8cbd8ed",
+    "json": "15d63ef3c350f0ab23e9ebf6c22395457d924a0fd2bd4d2190914bf6c4453b35",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(EXPORT_12_5))
+def test_export_12_5_is_pinned(capsys, fmt: str) -> None:
+    code, out, _ = run(capsys, "export", "12", "5", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == EXPORT_12_5[fmt]
 
 
 def test_guard_flag_override(capsys) -> None:

@@ -1,6 +1,9 @@
-"""The exports of H(m, k).  They are written from `KneserGraph.edges`; the
-tests at the end check them against the edges of the built adjacency and
-against texts written here by `json.dumps` and a plain DOT writer.
+"""The exports of H(m, k).  They are written from `Graph.edges()` of the
+built adjacency; the tests at the end check them against texts written here
+by `json.dumps` and a plain DOT writer over the same `Graph.edges()`, which
+`tests/test_graphs.py` checks against a brute-force pair list, as
+`tests/test_kneser.py` checks the adjacency against the definition of
+H(m, k).
 """
 
 from __future__ import annotations
@@ -110,10 +113,6 @@ def reference_json(kn: KneserGraph) -> str:
     payload = {"m": kn.m, "k": kn.k, "vertices": vertices,
                "edges": [list(e) for e in kn.graph.edges()]}
     return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def test_kept_edges_are_the_adjacency_edges(emitted) -> None:
-    assert emitted.edges == emitted.graph.edges()
 
 
 def test_dot_equals_a_writer_over_the_adjacency(emitted) -> None:

@@ -59,6 +59,69 @@ def test_graph_validation() -> None:
         Graph.from_edges(2, [(1, 1)])
 
 
+def transpose(n: int, adj: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(sum(1 << u for u in range(n) if adj[u] >> v & 1)
+                 for v in range(n))
+
+
+@st.composite
+def loopless_rows(draw, max_n: int = 9):
+    """n rows in range and without self-loops: either drawn at random or a
+    symmetric adjacency with up to three entries flipped, so that both
+    symmetric and barely asymmetric rows are common."""
+    n = draw(st.integers(0, max_n))
+    cells = [(v, u) for v in range(n) for u in range(n) if v != u]
+    if draw(st.booleans()):
+        return n, tuple(draw(st.integers(0, (1 << n) - 1)) & ~(1 << v)
+                        for v in range(n))
+    rows = [0] * n
+    for v, u in cells:
+        if v < u and draw(st.booleans()):
+            rows[v] |= 1 << u
+            rows[u] |= 1 << v
+    if cells:
+        for v, u in draw(st.lists(st.sampled_from(cells), max_size=3)):
+            rows[v] ^= 1 << u
+    return n, tuple(rows)
+
+
+@given(loopless_rows())
+@settings(max_examples=300)
+def test_symmetry_check_is_the_transpose(case) -> None:
+    n, adj = case
+    if transpose(n, adj) == adj:
+        assert Graph(n, adj).adj == adj
+    else:
+        with pytest.raises(ValueError, match="not symmetric"):
+            Graph(n, adj)
+
+
+def test_symmetry_check_cases() -> None:
+    # Only below the diagonal: no upper entry lacks its mirror, so only the
+    # entry count catches it.
+    with pytest.raises(ValueError, match=r"not symmetric at \(2,0\)"):
+        Graph(3, (0, 0, 0b001))
+    # Only above the diagonal.
+    with pytest.raises(ValueError, match=r"not symmetric at \(0,2\)"):
+        Graph(3, (0b100, 0, 0))
+    # One entry above and one below, neither mirrored: the counts agree, so
+    # only the mirror test catches it.
+    with pytest.raises(ValueError, match=r"not symmetric at \(0,1\)"):
+        Graph(3, (0b010, 0, 0b001))
+    # A negative row is refused by the range check before any bit walk.
+    with pytest.raises(ValueError, match="mentions vertices >= n"):
+        Graph(2, (-1, 0))
+    with pytest.raises(ValueError, match="mentions vertices >= n"):
+        Graph(2, (0, -2))
+
+
+@given(random_graphs(max_n=9))
+def test_edges_are_the_sorted_upper_pairs(g: Graph) -> None:
+    pairs = sorted((v, u) for v in range(g.n) for u in range(g.n)
+                   if v < u and g.adj[v] >> u & 1)
+    assert g.edges() == tuple(pairs)
+
+
 def test_edges_and_counts() -> None:
     g = cycle_graph(4)
     assert g.edges() == ((0, 1), (0, 3), (1, 2), (2, 3))

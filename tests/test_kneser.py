@@ -59,6 +59,28 @@ def test_edges_are_containments(kn52: KneserGraph) -> None:
             assert g.has_edge(u, v) == expect
 
 
+def containment_adjacency(m: int, k: int) -> tuple[int, ...]:
+    """H(m, k) from its definition: the k-subsets, then the (m-k)-subsets,
+    each in numeric mask order, and A ~ B iff A is inside B."""
+    def side(size: int) -> list[int]:
+        return sorted(sum(1 << e for e in c)
+                      for c in itertools.combinations(range(m), size))
+    left, right = side(k), side(m - k)
+    n = len(left)
+    rows = [sum(1 << (n + j) for j, b in enumerate(right) if a & ~b == 0)
+            for a in left]
+    rows += [sum(1 << i for i, a in enumerate(left) if a & ~b == 0)
+             for b in right]
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("m,k", [(m, k) for m in range(2, 10)
+                                 for k in range(1, m // 2 + 1)]
+                         + [(12, 5), (70, 1)])
+def test_build_is_the_containment_graph(m: int, k: int) -> None:
+    assert build(m, k).graph.adj == containment_adjacency(m, k)
+
+
 @pytest.mark.parametrize("m,k", [(2, 1), (4, 2), (6, 3), (5, 2), (7, 3), (8, 3)])
 def test_vertex_ids_round_trip(m: int, k: int) -> None:
     kn = build(m, k)
