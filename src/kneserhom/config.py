@@ -1,11 +1,22 @@
 """Enumeration guards and shared error types.
 
-Every potentially explosive computation (subset sums, face enumeration,
-boundary matrices, search trees) checks a limit before or while running and
-fails loudly when the limit is hit.  A truncated sum would be a wrong answer,
-not a partial one, so there is no silent degradation path.  Limits are
-configuration, not constants: raise them knowingly via environment variables
-or the corresponding CLI flags.
+Every potentially explosive computation checks a limit before or while
+running and fails loudly when the limit is hit.  A truncated sum would be a
+wrong answer, not a partial one, so there is no silent degradation path.
+Limits are configuration, not constants: raise them knowingly via
+environment variables or the corresponding CLI flags.  What each counts:
+
+- max_subsets: the vertex subsets a Hochster sum stands for (2^n for a full
+  Betti table, C(n, i+1) for a linear strand entry), and the 2 C(m, k)
+  vertices of a graph build;
+- max_faces: for a full Betti table, the matching-tree nodes and flow cells
+  of all its slices together, as they are built; for `enumerate_faces`, the
+  faces of one complex;
+- max_matrix_cells: rows times columns of each matrix ranked: a Morse
+  matrix (critical cells against critical cells) in a full Betti table, a
+  boundary matrix in `reduced_homology_dims`;
+- max_search_nodes: the nodes of one exact search, and the families or
+  sets an exhaustive check lists.
 """
 
 from __future__ import annotations
@@ -15,8 +26,9 @@ from dataclasses import dataclass, fields, replace
 
 ENV_PREFIX = "KNESERHOM_"
 
-# Defaults are sized so that full Betti tables run for graphs up to 12
-# vertices and linear-strand sums up to 20 vertices.
+# Defaults are sized so that full Betti tables run for graphs of up to 20
+# vertices (2^20 subsets), H(5,2) among them, and a linear-strand entry for
+# up to 1,200,000 subsets.
 DEFAULT_MAX_SUBSETS = 1_200_000
 DEFAULT_MAX_FACES = 100_000
 DEFAULT_MAX_MATRIX_CELLS = 1_000_000

@@ -1,29 +1,29 @@
-"""Brute-force graded Betti numbers of an edge ideal via Hochster's formula.
+"""Graded Betti numbers of an edge ideal via Hochster's formula.
 
 For a graph G on n vertices with edge ideal I(G), the (i, j) Betti number of
 R/I(G) over a field of the given characteristic is the sum, over all vertex
 subsets W of size j, of dim H~_{j-i-1} of the independence complex of G
-restricted to W.  This module computes that sum from the slices themselves:
-it enumerates induced independence complexes, builds boundary matrices, and
-takes exact ranks.  Both sums use the graph's verified automorphisms (see
-`symmetry`): an automorphism maps a slice onto an isomorphic one, with equal
-homology.  The full table takes one W per orbit on vertex subsets and weights
-it by the orbit's size.  The linear strand walks, for each vertex orbit, the
-(i+1)-subsets that hold the orbit's smallest vertex and no vertex of an
-earlier orbit, and weights each by the orbit's size over the number of the
-orbit's vertices it holds.  It needs only H~_0, and counts the complement
-components by adding W's vertices one at a time to the components of the
-smaller subsets it has already walked, and the last vertex by popcounts.
-It shares no code path with the closed-form side, which is the point.
+restricted to W.  This module computes that sum from the slices themselves.
+Both sums use the graph's verified automorphisms (see `symmetry`): an
+automorphism maps a slice onto an isomorphic one, with equal homology.  The
+full table takes one W per orbit on vertex subsets, weights it by the
+orbit's size, and gets each slice's homology from the critical cells of a
+matching tree and their Morse complex (`morse`), without listing faces.
+The linear strand walks, for each vertex orbit, the (i+1)-subsets that hold
+the orbit's smallest vertex and no vertex of an earlier orbit, and weights
+each by the orbit's size over the number of the orbit's vertices it holds.
+It needs only H~_0, and counts the complement components by adding W's
+vertices one at a time to the components of the smaller subsets it has
+already walked, and the last vertex by popcounts.  It shares no code path
+with the closed-form side, which is the point.
+
+`enumerate_faces` and `reduced_homology_dims` are the plain route: every
+face of a slice, and exact ranks of its boundary matrices.  The tables do
+not use it; it is the reference the Morse route is tested against, and the
+benchmark checks slices with it.
 
 Conventions: the empty face is a face of every nonvoid complex; the complex
 { {} } has dim H~_{-1} = 1 and the void complex contributes nothing anywhere.
-The full table folds each slice before listing its faces.  Fold lemma
-(Engstrom, Discrete Math. 309, 2009): if N(u) lies inside N(v) in G[W] for
-u != v, then Ind(G[W]) and Ind(G[W] - v) are homotopy equivalent.  A slice
-that folds down to one with an isolated vertex is a cone, hence acyclic,
-and is skipped without building matrices.
-
 reduced_homology_dims returns a tuple h with h[c] = dim H~_{c-1}, i.e. the
 entry at index 0 is the (-1)-dimensional homology.
 """
@@ -34,6 +34,7 @@ import json
 from dataclasses import dataclass, field
 from math import comb, gcd, lcm
 
+from . import morse
 from .combinatorics import bit_indices
 from .config import DEFAULT_GUARDS, Guards
 from .graphs import Graph
@@ -240,8 +241,9 @@ def _rank_gf2(cols) -> int:
     rank = 0
     for col in cols:
         v = 0
-        for r in col:
-            v |= 1 << r
+        for r, x in col.items():
+            if x & 1:
+                v |= 1 << r
         while v:
             b = v.bit_length() - 1
             p = pivots.get(b)
@@ -358,27 +360,6 @@ class BettiTable:
                 raise ValueError(f"BettiTable: entry ({i},{j}) must be positive, got {v}")
 
 
-def _fold(adj, w: int):
-    """A mask w' inside w whose slice has the homology of w's, or None when
-    w's slice is acyclic.  Fold lemma (Engstrom, "Complexes of directed
-    trees and independence complexes", Discrete Math. 309, 2009): if
-    N(u) is inside N(v) in G[W] for vertices u != v of W, then Ind(G[W])
-    and Ind(G[W] - v) are homotopy equivalent.  Such v are dropped until
-    none is left; a vertex isolated in what is left is a cone point, so the
-    slice is contractible and None is returned."""
-    while True:
-        verts = bit_indices(w)
-        nbrs = [adj[v] & w for v in verts]
-        if not all(nbrs):
-            return None
-        for v, nv in zip(verts, nbrs):
-            if any(u != v and nu & ~nv == 0 for u, nu in zip(verts, nbrs)):
-                w ^= 1 << v
-                break
-        else:
-            return w
-
-
 def full_betti_oracle(g: Graph, field_char: int = 2,
                       guards: Guards = DEFAULT_GUARDS) -> BettiTable:
     """The whole Betti table by Hochster's formula, summed over the orbits
@@ -390,39 +371,39 @@ def full_betti_oracle(g: Graph, field_char: int = 2,
     generators are those of `symmetry.automorphisms`, each checked against
     g's adjacency; with none, every W is its own orbit.
 
-    Each representative W is folded first (`_fold`, by Engstrom's fold
-    lemma): vertices whose neighbourhood in G[W] holds another's are
-    dropped, which keeps the homotopy type.  A slice that folds to a cone
-    is skipped; any other has its faces and homology computed on the
-    folded mask, and counts in degree j = |W| of the unfolded W.
+    Each representative's reduced homology comes from `morse.homology`,
+    which lists no face and builds no boundary matrix.  It takes the
+    critical cells of the matching tree of Bousquet-Melou, Linusson and
+    Nevo on Ind(G[W]), an acyclic matching by their theorem.  By Forman's
+    discrete Morse theory, the Morse complex on those cells has the
+    reduced homology of Ind(G[W]).  Where no two critical cells differ by
+    one in size its maps are zero, and dim H~_{c-1} is the number of
+    critical c-cells over every field; elsewhere the Morse matrices are
+    ranked over the field.  The references are in `morse`.
 
-    Refuses loudly (before doing real work) when 2^n or the face count of
-    the full independence complex exceeds the guards."""
+    Guards: 2^n against max_subsets; the tree nodes and flow cells of all
+    slices together against max_faces, as they are built; each Morse
+    matrix, critical rows times critical columns, against
+    max_matrix_cells.  The W = V slice is computed first, before the orbit
+    walk, so a table whose full complex is out of reach is refused fast."""
     _check_char(field_char)
     n = g.n
     guards.check("max_subsets", 1 << n, f"full Betti table on {n} vertices")
-    # The full complex is the largest slice: every W strata is a subset of
-    # its strata, and W = V itself is in the loop below.  Probing its face
-    # count and boundary shapes first turns an infeasible run into a fast
-    # refusal instead of a stuck loop.
-    probe = enumerate_faces(g, g.full_mask, guards)
-    for c in range(len(probe.strata) - 1):
-        cells = len(probe.strata[c]) * len(probe.strata[c + 1])
-        guards.check("max_matrix_cells", cells,
-                     f"boundary map {c + 1} of the full independence complex")
-    adj = g.adj
+    budget = morse.Budget(guards, f"matching trees and flow cells of a full "
+                                  f"Betti table on {n} vertices")
+    adj, full = g.adj, g.full_mask
+
+    def homology(w: int) -> dict[int, int]:
+        return morse.homology(adj, w, lambda cols: _rank(cols, field_char), budget)
+
+    top = homology(full)
     entries: dict = {}
     for w, size in orbits(n, automorphisms(adj)):
-        folded = _fold(adj, w)
-        if folded is None:
-            continue
-        sl = enumerate_faces(g, folded, guards)
-        h = reduced_homology_dims(sl, field_char, guards)
+        h = top if w == full else homology(w)
         j = w.bit_count()
-        for c, hd in enumerate(h):
-            if hd:
-                key = (j - c, j)
-                entries[key] = entries.get(key, 0) + hd * size
+        for c, hd in h.items():
+            key = (j - c, j)
+            entries[key] = entries.get(key, 0) + hd * size
     return BettiTable(n=n, field_char=field_char, entries=entries)
 
 

@@ -151,11 +151,21 @@ def test_betti_table_characteristic_zero(capsys) -> None:
     assert t2["char"] == 2 and t0["char"] == 0
 
 
-def test_betti_table_refuses_h52(capsys) -> None:
-    code, _, err = run(capsys, "betti-table", "5", "2")
+def test_betti_table_refuses_h62(capsys) -> None:
+    # 2^30 vertex subsets against max_subsets 1,200,000
+    code, _, err = run(capsys, "betti-table", "6", "2")
     assert code == 3
     assert "error:" in err
     assert "KNESERHOM_MAX_" in err  # remediation names the environment knob
+
+
+@pytest.mark.parametrize("char,md5", [("2", "084658e43a7b97315989473f2a0e5c86"),
+                                      ("0", "bb9b1ee18bfb86b3947de977bbd92fc2")])
+def test_betti_table_h52_under_the_default_guards(capsys, char, md5) -> None:
+    code, out, err = run(capsys, "betti-table", "5", "2", "--char", char)
+    assert (code, err) == (0, "")
+    assert "pd  = 15\nreg = 6\n" in out
+    assert hashlib.md5(out.encode()).hexdigest() == md5
 
 
 def test_betti_table_cache_round_trip(capsys, tmp_path) -> None:

@@ -16,7 +16,6 @@ from kneserhom.hochster import (
     BettiTable,
     ComplexSlice,
     _boundary_columns,
-    _fold,
     _rank_exact_q,
     betti_table_to_json,
     betti_table_triangle,
@@ -302,37 +301,6 @@ def test_cone_vertex_kills_homology() -> None:
         assert all(d == 0 for d in h), w
 
 
-def nonzero(h: tuple[int, ...]) -> dict[int, int]:
-    return {c: d for c, d in enumerate(h) if d}
-
-
-@given(graph_and_mask())
-@settings(max_examples=150, deadline=None)
-def test_folded_slice_has_the_homology_of_the_slice(gw) -> None:
-    g, w = gw
-    folded = _fold(g.adj, w)
-    sl = enumerate_faces(g, w)
-    for char in (2, 0):
-        h = nonzero(reduced_homology_dims(sl, char))
-        if folded is None:
-            assert h == {}, (g.adj, w, char)
-        else:
-            assert folded & ~w == 0
-            assert nonzero(reduced_homology_dims(enumerate_faces(g, folded), char)) == h
-
-
-def test_fold_on_paths_and_cycles() -> None:
-    # P_4: N(0) is inside N(2), and dropping 2 isolates 3, a cone point.
-    assert _fold(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]).adj, 0b1111) is None
-    # C_4: the two opposite pairs are twins; it folds to one edge, two points.
-    assert _fold(cycle_graph(4).adj, 0b1111).bit_count() == 2
-    # C_5 and C_6 have no neighbourhood inside another: nothing folds.
-    assert _fold(cycle_graph(5).adj, 0b11111) == 0b11111
-    assert _fold(cycle_graph(6).adj, 0b111111) == 0b111111
-    # The empty slice is {{}}, with dim H~_{-1} = 1.
-    assert _fold(cycle_graph(5).adj, 0) == 0
-
-
 @pytest.mark.parametrize("m,k", sorted(FROZEN_TABLES))
 def test_full_betti_tables_frozen(m: int, k: int) -> None:
     t = full_betti_oracle(build(m, k).graph, field_char=2)
@@ -374,11 +342,33 @@ def test_full_betti_strand_agreement() -> None:
 
 
 def test_full_betti_refuses_large_input_quickly() -> None:
-    g = build(5, 2).graph
+    # H(5,2) fits the default guards; H(6,2) has 2^30 subsets.
+    g = build(6, 2).graph
     t0 = time.monotonic()
     with pytest.raises(GuardExceeded):
         full_betti_oracle(g)
     assert time.monotonic() - t0 < 5.0
+
+
+def test_full_betti_builds_the_full_complex_first(monkeypatch) -> None:
+    # The W = V tree of H(5,2) has 42 nodes: a max_faces below that is
+    # refused before the orbit walk starts.
+    def no_walk(*args):
+        raise AssertionError("the orbit walk started")
+
+    monkeypatch.setattr("kneserhom.hochster.orbits", no_walk)
+    with pytest.raises(GuardExceeded) as exc:
+        full_betti_oracle(build(5, 2).graph, guards=Guards(max_faces=41))
+    assert exc.value.guard == "max_faces"
+    assert "full Betti table on 20 vertices" in str(exc.value)
+
+
+def test_full_betti_max_faces_counts_the_whole_table() -> None:
+    # Each slice of H(4,1) builds a small tree; the guard counts them all
+    # together, so the table is refused though no one slice comes near.
+    with pytest.raises(GuardExceeded) as exc:
+        full_betti_oracle(build(4, 1).graph, guards=Guards(max_faces=20))
+    assert exc.value.guard == "max_faces"
 
 
 def test_betti_table_validation() -> None:

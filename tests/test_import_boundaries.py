@@ -79,3 +79,9 @@ def test_all_is_exactly_what_init_imports() -> None:
                   and [t.id for t in node.targets] == ["__all__"]]
     assert set(ast.literal_eval(exported)) == imported
     assert len(kneserhom.__all__) == len(imported)
+
+
+def test_morse_imports_only_config() -> None:
+    # The slice engine sees adjacency rows and a rank function, not graphs,
+    # fields or the Hochster sum.
+    assert package_imports("morse") == {"config"}
