@@ -17,8 +17,8 @@ from typing import NamedTuple
 from .combinatorics import binom, bit_indices, check_mk, mask_of, subset_str
 from .config import DEFAULT_GUARDS, GuardExceeded, Guards
 from .graphs import (Graph, closed_neighborhood, complement, induced,
-                     induced_matching_number, is_cochordal, neighborhood,
-                     three_disjoint)
+                     induced_matching_number, is_cochordal, matching_checks,
+                     neighborhood)
 from .kneser import (KneserGraph, build, double_star_cover, dominating_w,
                      e_s_family, gamma_demand_family, star_cover)
 from .symmetry import orbit_roots
@@ -173,31 +173,39 @@ def gamma_of(g: Graph, c: int, guards: Guards = DEFAULT_GUARDS) -> SearchResult:
         return SearchResult(0, 0)
     adj = g.adj
     # Adjacency is symmetric, so the vertices that cover u are its neighbors.
-    coverers = {u: bit_indices(adj[u]) for u in bit_indices(c)}
-    for u, opts in coverers.items():
-        if not opts:
+    # tiers groups the demanded vertices by coverer count, fewest first: the
+    # lowest uncovered bit of the first tier that has one is the lowest-id
+    # uncovered vertex with the fewest coverers, the one branched on.
+    by_count: dict[int, int] = {}
+    for u in bit_indices(c):
+        if not adj[u]:
             raise ValueError(f"gamma_of: vertex {u} has no neighbor; demand not coverable")
+        count = adj[u].bit_count()
+        by_count[count] = by_count.get(count, 0) | 1 << u
+    tiers = [by_count[count] for count in sorted(by_count)]
     max_cover = max((row & c).bit_count() for row in adj)
     nodes = 0
 
     def dfs(uncovered: int, depth: int, chosen: int) -> int | None:
+        # A node is entered only when it is no leaf, has depth left and
+        # passes the bound, so every call counts.
         nonlocal nodes
-        if uncovered == 0:
-            return chosen
-        if depth == 0 or _ceil_div(uncovered.bit_count(), max_cover) > depth:
-            return None
         nodes += 1
         guards.check("max_search_nodes", nodes, "gamma_of")
-        # branch on the demanded vertex with the fewest coverers
-        best_u = min(bit_indices(uncovered), key=lambda u: len(coverers[u]))
-        for v in coverers[best_u]:
-            got = dfs(uncovered & ~adj[v], depth - 1, chosen | 1 << v)
-            if got is not None:
-                return got
+        tier = next(t for t in tiers if t & uncovered) & uncovered
+        depth -= 1
+        for v in bit_indices(adj[(tier & -tier).bit_length() - 1]):
+            rest = uncovered & ~adj[v]
+            if rest == 0:
+                return chosen | 1 << v
+            if depth and _ceil_div(rest.bit_count(), max_cover) <= depth:
+                got = dfs(rest, depth, chosen | 1 << v)
+                if got is not None:
+                    return got
         return None
 
-    lb = _ceil_div(c.bit_count(), max_cover)
-    depth = lb
+    # The first depth is the bound itself, so the root always passes it.
+    depth = _ceil_div(c.bit_count(), max_cover)
     while True:
         got = dfs(c, depth, 0)
         if got is not None:
@@ -320,19 +328,18 @@ def _default_spread(m: int, k: int) -> int:
 def certify_induced_matching(m: int, k: int, s: int | None = None,
                              guards: Guards = DEFAULT_GUARDS) -> BoundReport:
     """Certified induced matching of size C(2k,k), plus the exact induced
-    matching number when the exhaustive search fits the guards."""
+    matching number when the exhaustive search fits the guards.  The
+    family is checked by `graphs.matching_checks`, with one mask test per
+    edge of the graph in place of a test per pair of edges, by the reach
+    lemma: for an edge e = (a, b), reach(e) = N[a] | N[b] holds an end of
+    an edge f iff e and f are not three-disjoint."""
     kn = build(m, k, guards)
     g = kn.graph
     if s is None:
         s = _default_spread(m, k)
     fam = e_s_family(kn, s)
     expected = binom(2 * k, k)
-    pairwise = all(three_disjoint(g, fam[a], fam[b])
-                   for a in range(len(fam)) for b in range(a + 1, len(fam)))
-    member_set = set(fam)
-    maximal = all(
-        any(not three_disjoint(g, e, f) for f in fam)
-        for e in g.edges() if e not in member_set)
+    pairwise, maximal = matching_checks(g, fam)
     cert = Certificate(
         kind="induced_matching",
         payload={

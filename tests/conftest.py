@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from kneserhom import Graph, KneserGraph, build
+from kneserhom.config import Guards
 
 
 @pytest.fixture(scope="session")
@@ -42,6 +43,19 @@ FROZEN_TABLES = {
     (4, 2): {(0, 0): 1, (1, 2): 6, (2, 4): 15, (3, 6): 20, (4, 8): 15,
              (5, 10): 6, (6, 12): 1},
 }
+
+
+class CountingGuards(Guards):
+    """Default guards that count their checks by context: each search
+    checks once per node, so counts[context] is its node count."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        object.__setattr__(self, "counts", {})
+
+    def check(self, guard: str, needed: int, context: str) -> None:
+        self.counts[context] = self.counts.get(context, 0) + 1
+        super().check(guard, needed, context)
 
 
 # Brute forces for the searches of `bounds`, by itertools over vertex sets in

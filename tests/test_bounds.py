@@ -29,7 +29,8 @@ from kneserhom.graphs import Graph, bit_indices
 from kneserhom.hochster import full_betti_oracle, pd_of, reg_of
 from kneserhom.kneser import build, gamma_demand_family
 
-from conftest import FROZEN_TABLES, brute_gamma, brute_independent_domination
+from conftest import (FROZEN_TABLES, CountingGuards, brute_gamma,
+                      brute_independent_domination)
 
 
 def cycle_graph(n: int) -> Graph:
@@ -185,6 +186,32 @@ def test_gamma_of_full_right_side_cube() -> None:
     # covering number is a floor for the domination spread of the graph
     for u in bit_indices(demand):
         assert kn.graph.adj[u] & demand == 0
+
+
+def test_gamma_of_work_is_pinned() -> None:
+    # Degrees 2, 3 and 4, so the demanded vertices fall in three coverer
+    # tiers.  Witnesses and node counts were pinned from the branch choice
+    # by a min over the uncovered vertices, which the tiers replaced.
+    g = Graph.from_edges(10, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (2, 5),
+                              (3, 6), (4, 7), (5, 8), (6, 9), (7, 9), (8, 9),
+                              (1, 9), (5, 6)])
+    for c, value, witness, nodes in ((g.full_mask, 4, 0b1000000111, 13),
+                                     (0b1111100000, 2, 0b1001000000, 2),
+                                     (0b1010101010, 2, 0b0001010000, 3)):
+        guards = CountingGuards()
+        assert gamma_of(g, c, guards) == (value, witness)
+        assert guards.counts == {"gamma_of": nodes}
+
+
+def test_certify_induced_matching_refuses_a_non_edge(monkeypatch) -> None:
+    # A family member that is no edge of the graph is an error, not a
+    # failed check: vertices 0 and 1 both sit on the left side.
+    import kneserhom.bounds as bounds_module
+    real = bounds_module.e_s_family
+    monkeypatch.setattr(bounds_module, "e_s_family",
+                        lambda kn, s: (*real(kn, s)[:2], (0, 1), *real(kn, s)[2:]))
+    with pytest.raises(ValueError, match=r"^three_disjoint: \(0,1\) is not an edge$"):
+        certify_induced_matching(5, 2)
 
 
 def test_gamma_monotone_in_demand() -> None:

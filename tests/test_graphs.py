@@ -16,10 +16,14 @@ from kneserhom.graphs import (
     is_chordal,
     is_cochordal,
     neighborhood,
+    _conflict_rows,
+    matching_checks,
     three_disjoint,
 )
 from kneserhom.export import to_dot_graph
 from kneserhom.kneser import build
+
+from conftest import CountingGuards
 
 
 def cycle_graph(n: int) -> Graph:
@@ -236,6 +240,86 @@ def test_three_disjoint_matches_containment_criterion(m: int, k: int) -> None:
     edges = g.edges()
     for e, f in itertools.combinations(edges, 2):
         assert three_disjoint(g, e, f) == label_criterion(kn, e, f), (e, f)
+
+
+def brute_three_disjoint(edge_set, e, f) -> bool:
+    # Four distinct ends and none of the four cross pairs an edge.
+    (a, b), (c, d) = e, f
+    return (len({a, b, c, d}) == 4
+            and not any(frozenset(p) in edge_set for p in ((a, c), (a, d), (b, c), (b, d))))
+
+
+@st.composite
+def graphs_with_families(draw):
+    """A graph on at most 10 vertices, its edges, and a family drawn from
+    them with repeats and either orientation: families that share ends,
+    hold cross edges, or are not maximal all come up."""
+    n = draw(st.integers(0, 10))
+    edges = [e for e in itertools.combinations(range(n), 2) if draw(st.booleans())]
+    fam = []
+    if edges:
+        for a, b in draw(st.lists(st.sampled_from(edges), max_size=6)):
+            fam.append((b, a) if draw(st.booleans()) else (a, b))
+    return Graph.from_edges(n, edges), edges, fam
+
+
+@given(graphs_with_families())
+@settings(max_examples=300, deadline=None)
+def test_reach_masks_match_pair_tests(case) -> None:
+    g, edges, fam = case
+    edge_set = {frozenset(e) for e in edges}
+    pairwise = all(brute_three_disjoint(edge_set, e, f)
+                   for e, f in itertools.combinations(fam, 2))
+    maximal = all(any(not brute_three_disjoint(edge_set, e, f) for f in fam)
+                  for e in edges if e not in fam)
+    assert matching_checks(g, fam) == (pairwise, maximal)
+    for family in (edges, fam):
+        rows = _conflict_rows(g, family)
+        for i, e in enumerate(family):
+            want = sum(1 << j for j, f in enumerate(family)
+                       if j != i and not brute_three_disjoint(edge_set, e, f))
+            assert rows[i] == want, (family, i)
+    for e, f in itertools.product(fam, repeat=2):
+        assert three_disjoint(g, e, f) == brute_three_disjoint(edge_set, e, f)
+
+
+@given(graphs_with_families(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_matching_checks_refuses_a_non_edge(case, data) -> None:
+    # Every other member is an edge, so the one non-edge is the one named.
+    g, edges, fam = case
+    edge_set = {frozenset(e) for e in edges}
+    non_edges = [(u, v) for u in range(g.n) for v in range(g.n)
+                 if frozenset((u, v)) not in edge_set]
+    if not non_edges:
+        return
+    u, v = data.draw(st.sampled_from(non_edges))
+    fam.insert(data.draw(st.integers(0, len(fam))), (u, v))
+    with pytest.raises(ValueError, match=rf"^three_disjoint: \({u},{v}\) is not an edge$"):
+        matching_checks(g, fam)
+
+
+# Sizes, witnesses and node counts, pinned from the pairwise-loop
+# conflict rows that the reach masks replaced; the rows, and so the search,
+# must come out the same.
+PINNED_MATCHINGS = [
+    (build(5, 2).graph, 6, ((0, 10), (3, 12), (4, 13), (6, 15), (7, 16), (9, 19)), 409),
+    (cycle_graph(6), 2, ((0, 1), (3, 4)), 5),
+    (Graph.from_edges(9, [(0, 1), (0, 4), (1, 2), (1, 3), (1, 7), (2, 4), (2, 7),
+                          (2, 8), (3, 6), (3, 7), (4, 5), (4, 6), (5, 6), (5, 7),
+                          (5, 8), (6, 8), (7, 8)]),
+     2, ((0, 1), (5, 6)), 19),
+    (Graph.from_edges(10, [(0, 3), (0, 4), (1, 4), (2, 5), (2, 6), (2, 7), (3, 8),
+                           (3, 9), (4, 6), (5, 6)]),
+     3, ((1, 4), (2, 5), (3, 8)), 15),
+]
+
+
+@pytest.mark.parametrize("g,size,witness,nodes", PINNED_MATCHINGS)
+def test_induced_matching_work_is_pinned(g, size, witness, nodes) -> None:
+    guards = CountingGuards()
+    assert induced_matching_number(g, guards) == (size, witness)
+    assert guards.counts == {"induced_matching_number": nodes}
 
 
 def test_induced_matching_small_cases() -> None:
