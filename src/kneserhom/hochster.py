@@ -344,6 +344,36 @@ def reduced_homology_dims(sl: ComplexSlice, field_char: int = 2,
 # ---------------------------------------------------------------------------
 
 
+_UNPACK = bytes.maketrans(b"01", b"\0\1")
+
+
+def _cone_marks(adj) -> bytearray:
+    """c[w] = 1 iff G[w] has an isolated vertex, for every w < 2^n.  Then
+    Ind(G[w]) is a cone over that vertex and has no reduced homology, and
+    since an automorphism maps the isolated vertices of G[w] onto those of
+    its image, the marked masks are a union of orbits.
+
+    Column v is the 2^n-bit integer whose bit w is bit v of w: 2^v zeros,
+    then 2^v ones, doubled up to 2^n bits.  w is a cone iff some column v
+    holds w and no column of a neighbour of v does."""
+    size = 1 << len(adj)
+    cols = []
+    for v in range(len(adj)):
+        col, period = ((1 << (1 << v)) - 1) << (1 << v), 2 << v
+        while period < size:
+            col |= col << period
+            period <<= 1
+        cols.append(col)
+    cones = 0
+    for v, row in enumerate(adj):
+        near = 0
+        for u in bit_indices(row):
+            near |= cols[u]
+        cones |= cols[v] & ~near
+    del cols  # n * 2^n bits, freed before the 2^n bytes are unpacked
+    return bytearray(format(cones, f"0{size}b").encode().translate(_UNPACK))[::-1]
+
+
 @dataclass(frozen=True)
 class BettiTable:
     """Graded Betti numbers beta_{i,j} of R/I(G); absent entries are zero."""
@@ -379,10 +409,12 @@ def full_betti_oracle(g: Graph, field_char: int = 2,
     reduced homology of Ind(G[W]).  Where no two critical cells differ by
     one in size its maps are zero, and dim H~_{c-1} is the number of
     critical c-cells over every field; elsewhere the Morse matrices are
-    ranked over the field.  The references are in `morse`.
+    ranked over the field.  The references are in `morse`.  The walk
+    leaves out the orbits of cones, the W where G[W] has an isolated
+    vertex (see `_cone_marks`): they add nothing.
 
     Guards: 2^n against max_subsets; the tree nodes and flow cells of all
-    slices together against max_faces, as they are built; each Morse
+    slices built together against max_faces, as they are built; each Morse
     matrix, critical rows times critical columns, against
     max_matrix_cells.  The W = V slice is computed first, before the orbit
     walk, so a table whose full complex is out of reach is refused fast."""
@@ -398,7 +430,7 @@ def full_betti_oracle(g: Graph, field_char: int = 2,
 
     top = homology(full)
     entries: dict = {}
-    for w, size in orbits(n, automorphisms(adj)):
+    for w, size in orbits(n, automorphisms(adj), _cone_marks(adj)):
         h = top if w == full else homology(w)
         j = w.bit_count()
         for c, hd in h.items():

@@ -22,6 +22,7 @@ Permutations are tuples p of vertex ids, p[v] the image of v.
 
 from __future__ import annotations
 
+import sys
 from array import array
 
 from .combinatorics import binom, bit_indices, kneser_sides
@@ -57,20 +58,29 @@ def candidate_generators(n: int) -> list[tuple[int, ...]]:
         for ground, swap_sides in ((lambda a: a ^ 0b11 if (a ^ a >> 1) & 1 else a, False),
                                    (lambda a: (a << 1 | a >> (m - 1)) & full, False),
                                    (lambda a: full ^ a, True)):
-            out.append(tuple(rank[ground(a)] + (half if right != swap_sides else 0)
-                             for right, side in enumerate(sides) for a in side))
+            # a list first, as in `kneser_sides`, so the tuple is not resized
+            out.append(tuple([rank[ground(a)] + (half if right != swap_sides else 0)
+                              for right, side in enumerate(sides) for a in side]))
     return out
 
 
 def _mask_images(perm, n: int) -> array:
     """images[w] is the image under perm of the mask w, for every w < 2^n,
     built by doubling: the masks below 2^(b+1) are those below 2^b, then
-    the same with bit b set, whose image gains bit perm[b].  Unsigned ints,
-    not Python ints, keep the array at 4 bytes a mask; a mask past 32 bits,
-    which would need 2^33 marks in `orbits`, overflows loudly."""
+    the same with bit b set, whose image gains bit perm[b].  The new half is
+    the old one read as one integer, OR-ed with bit perm[b] repeated in
+    every slot; no slot carries, so that is exact.  It goes 2^14 slots at a
+    time, to keep the integers small.  Unsigned ints, not Python ints, keep
+    the array at 4 bytes a mask; a mask past 32 bits, which would need 2^33
+    marks in `orbits`, overflows loudly."""
     images = array("I", [0])
     for b in range(n):
-        images.extend(map((1 << perm[b]).__or__, images[:]))
+        size = len(images)
+        chunk = min(size, 1 << 14)
+        bit = int.from_bytes(array("I", [1 << perm[b]]) * chunk, sys.byteorder)
+        for start in range(0, size, chunk):
+            old = int.from_bytes(images[start:start + chunk], sys.byteorder)
+            images.frombytes((old | bit).to_bytes(chunk * images.itemsize, sys.byteorder))
     return images
 
 
@@ -83,14 +93,17 @@ def automorphisms(adj) -> list[tuple[int, ...]]:
                    for v, row in enumerate(adj))]
 
 
-def _closure(size: int, maps):
+def _closure(size: int, maps, seen: bytearray | None = None):
     """Yield each orbit of the group the maps span on the points 0..size-1,
     as a list that starts at its smallest point, in increasing order of that
-    point.  Each map is a sequence: maps[j][x] is the image of x."""
-    seen = bytearray(size)
-    for v in range(size):
-        if seen[v]:
-            continue
+    point.  Each map is a sequence: maps[j][x] is the image of x.  The
+    points already marked in seen, a bytearray of size marks, must be a
+    union of orbits; they are left out, and seen is marked as the walk
+    goes."""
+    if seen is None:
+        seen = bytearray(size)
+    v = seen.find(0)
+    while v >= 0:
         seen[v] = 1
         orbit = [v]
         for x in orbit:
@@ -100,6 +113,7 @@ def _closure(size: int, maps):
                     seen[y] = 1
                     orbit.append(y)
         yield orbit
+        v = seen.find(0, v + 1)
 
 
 def orbit_roots(adj) -> list[tuple[int, int, int]]:
@@ -125,11 +139,13 @@ def orbit_roots(adj) -> list[tuple[int, int, int]]:
     return out
 
 
-def orbits(n: int, generators):
+def orbits(n: int, generators, marks: bytearray | None = None):
     """Yield (smallest mask, orbit size) for every orbit of the group the
     generators span on the 2^n vertex subsets, in increasing order of the
     smallest mask.  Holds a bytearray of 2^n marks and, for each generator,
-    an array of the images of all 2^n masks while it runs."""
+    an array of the images of all 2^n masks while it runs.  The masks
+    already marked in marks, if it is given, must be a union of orbits and
+    are left out; marks is then the walk's own bytearray."""
     tables = [_mask_images(perm, n) for perm in generators]
-    for orbit in _closure(1 << n, tables):
+    for orbit in _closure(1 << n, tables, marks):
         yield orbit[0], len(orbit)

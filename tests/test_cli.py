@@ -160,6 +160,7 @@ def test_betti_table_refuses_h62(capsys) -> None:
 
 
 @pytest.mark.parametrize("char,md5", [("2", "084658e43a7b97315989473f2a0e5c86"),
+                                      ("3", "83ff6fd8e59160061fec8a66a1db3282"),
                                       ("0", "bb9b1ee18bfb86b3947de977bbd92fc2")])
 def test_betti_table_h52_under_the_default_guards(capsys, char, md5) -> None:
     code, out, err = run(capsys, "betti-table", "5", "2", "--char", char)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kneserhom import morse
 from kneserhom.combinatorics import binom
 from kneserhom.config import GuardExceeded, Guards
 from kneserhom.graphs import Graph, complement, induced
@@ -16,6 +17,7 @@ from kneserhom.hochster import (
     BettiTable,
     ComplexSlice,
     _boundary_columns,
+    _cone_marks,
     _rank_exact_q,
     betti_table_to_json,
     betti_table_triangle,
@@ -299,6 +301,41 @@ def test_cone_vertex_kills_homology() -> None:
     for w in range(1 << 4, 1 << 5):  # every w containing vertex 4
         h = reduced_homology_dims(enumerate_faces(g, w))
         assert all(d == 0 for d in h), w
+
+
+@st.composite
+def small_graphs(draw, max_n: int = 10) -> Graph:
+    """A graph on 0 to max_n vertices.  Below 3 vertices, its 2^n cone
+    marks fill less than a byte of bits."""
+    n = draw(st.integers(0, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    return Graph.from_edges(n, [e for e in pairs if draw(st.booleans())])
+
+
+@given(small_graphs())
+@settings(max_examples=120, deadline=None)
+def test_cone_marks_are_the_slices_with_an_isolated_vertex(g: Graph) -> None:
+    marks = _cone_marks(g.adj)
+    assert len(marks) == 1 << g.n
+    for w in range(1 << g.n):
+        isolated = any(w >> v & 1 and not g.adj[v] & w for v in range(g.n))
+        assert marks[w] == isolated, (g.adj, w)
+
+
+def test_full_betti_builds_no_cone_slice(monkeypatch) -> None:
+    # H(4,2) is a perfect matching on 12 vertices: the 64 unions of its
+    # edges are the only slices with no isolated vertex, and its edge ideal
+    # is a complete intersection of 6 quadrics.
+    g = build(4, 2).graph
+    marks = _cone_marks(g.adj)
+    assert marks.count(0) == 64
+    built = []
+    real = morse.homology
+    monkeypatch.setattr(morse, "homology",
+                        lambda adj, w, *rest: built.append(w) or real(adj, w, *rest))
+    table = full_betti_oracle(g).entries
+    assert table == {(i, 2 * i): binom(6, i) for i in range(7)}
+    assert built and not any(marks[w] for w in built)
 
 
 @pytest.mark.parametrize("m,k", sorted(FROZEN_TABLES))

@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 from kneserhom.bounds import independent_domination_number, tau_of
 from kneserhom.combinatorics import binom
 from kneserhom.graphs import Graph
-from kneserhom.hochster import (enumerate_faces, full_betti_oracle,
+from kneserhom.hochster import (_cone_marks, enumerate_faces, full_betti_oracle,
                                 linear_strand_oracle, reduced_homology_dims)
 from kneserhom.kneser import build
 from kneserhom.symmetry import (_closure, _kneser_parameters, _mask_images,
@@ -179,6 +179,20 @@ def test_mask_images_match_bit_by_bit_images(n: int) -> None:
         assert all(images[w] == image(perm, w) for w in range(1 << n))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 12).flatmap(lambda n: st.permutations(range(n))))
+def test_mask_images_of_any_permutation_match_bit_by_bit_images(perm) -> None:
+    n = len(perm)
+    images = _mask_images(perm, n)
+    assert len(images) == 1 << n
+    assert all(images[w] == image(perm, w) for w in range(1 << n))
+
+
+def test_mask_images_past_32_bits_overflow() -> None:
+    with pytest.raises(OverflowError):
+        _mask_images((1, 32), 2)
+
+
 @pytest.mark.parametrize("m,k", [(2, 1), (3, 1), (5, 1), (7, 1), (4, 2), (6, 3)])
 def test_candidates_of_kneser_graphs_are_verified_automorphisms(m: int, k: int) -> None:
     g = build(m, k).graph
@@ -233,6 +247,20 @@ def test_orbits_match_their_closure(m: int, k: int) -> None:
                     orbit.add(y)
                     todo.append(y)
         assert (min(orbit), len(orbit)) == (w, size)
+
+
+@pytest.mark.parametrize("g", [build(m, 1).graph for m in range(2, 7)]
+                         + [build(4, 2).graph, relabelled(build(4, 2).graph)])
+def test_orbits_leave_out_premarked_orbits(g: Graph) -> None:
+    # The cone marks are a union of orbits: an automorphism keeps the
+    # isolated vertices of a slice.
+    gens = automorphisms(g.adj)
+    marks = _cone_marks(g.adj)
+    every = list(_closure(1 << g.n, [_mask_images(p, g.n) for p in gens]))
+    assert all(len({marks[w] for w in orbit}) == 1 for orbit in every)
+    kept = [(w, size) for w, size in orbits(g.n, gens) if not marks[w]]
+    assert list(orbits(g.n, gens, bytearray(marks))) == kept
+    assert sum(size for _, size in kept) == marks.count(0)
 
 
 def test_trivial_group_gives_singleton_orbits() -> None:
