@@ -20,7 +20,9 @@ with the closed-form side, which is the point.
 `enumerate_faces` and `reduced_homology_dims` are the plain route: every
 face of a slice, and exact ranks of its boundary matrices.  The tables do
 not use it; it is the reference the Morse route is tested against, and the
-benchmark checks slices with it.
+benchmark checks slices with it.  Both routes rank their matrices with the
+one routine `_rank`, over GF(p) or Q, and sign their incidences with
+`morse._facets`.
 
 Conventions: the empty face is a face of every nonvoid complex; the complex
 { {} } has dim H~_{-1} = 1 and the void complex contributes nothing anywhere.
@@ -224,100 +226,51 @@ def enumerate_faces(g: Graph, w: int, guards: Guards = DEFAULT_GUARDS) -> Comple
 
 def _boundary_columns(lower: tuple[int, ...], upper: tuple[int, ...]):
     """Sparse columns of the boundary map from the upper stratum to the
-    lower one; entry signs alternate along each face's sorted vertices."""
+    lower one, with the incidence signs of `morse._facets`."""
     index = {mask: r for r, mask in enumerate(lower)}
-    cols = []
-    for f in upper:
-        col = {}
-        for pos, v in enumerate(bit_indices(f)):
-            facet = f ^ (1 << v)
-            col[index[facet]] = 1 if pos % 2 == 0 else -1
-        cols.append(col)
-    return cols
+    return [{index[facet]: s for s, facet in morse._facets(f)} for f in upper]
 
 
-def _rank_gf2(cols) -> int:
-    pivots: dict[int, int] = {}
-    rank = 0
+def _rank(cols, p: int) -> int:
+    """The rank over GF(p), or over Q when p = 0, of the matrix with these
+    sparse integer columns, by fraction-free column reduction.
+
+    Entries are kept mod p when p > 0.  A column whose lowest entry a
+    meets a stored pivot with lowest entry b becomes (b/g) col - (a/g) pivot,
+    g = gcd(a, b), which clears that entry; a column that meets no pivot is
+    stored, divided by the gcd of its entries.  Neither step changes the
+    rank of the columns seen so far, so the number of pivots is the rank:
+    over Q, b/g and the gcd are nonzero; over GF(p), every kept entry lies
+    in 1..p-1, so the gcds and b/g do too, and all are units mod p.  A
+    pivot is stored as its lowest entry and a dict of the others, and a
+    step pops the column's lowest entry, which it clears."""
+    pivots: dict[int, tuple[int, dict[int, int]]] = {}
     for col in cols:
-        v = 0
-        for r, x in col.items():
-            if x & 1:
-                v |= 1 << r
-        while v:
-            b = v.bit_length() - 1
-            p = pivots.get(b)
-            if p is None:
-                pivots[b] = v
-                rank += 1
-                break
-            v ^= p
-    return rank
-
-
-def _rank_mod_p(cols, p: int) -> int:
-    pivots: dict[int, dict[int, int]] = {}
-    rank = 0
-    for col in cols:
-        cur = {r: v % p for r, v in col.items() if v % p}
+        if p:
+            cur = {r: v % p for r, v in col.items() if v % p}
+        else:
+            cur = {r: v for r, v in col.items() if v}
         while cur:
             low = max(cur)
-            piv = pivots.get(low)
-            if piv is None:
-                pivots[low] = cur
-                rank += 1
+            a = cur.pop(low)
+            if low not in pivots:
+                g = gcd(a, *cur.values())
+                pivots[low] = a // g, {r: v // g for r, v in cur.items()}
                 break
-            factor = cur[low] * pow(piv[low], p - 2, p) % p
-            for r, v in piv.items():
-                nv = (cur.get(r, 0) - factor * v) % p
-                if nv:
-                    cur[r] = nv
-                else:
-                    cur.pop(r, None)
-        # a column that reduces to zero adds nothing
-    return rank
-
-
-def _rank_exact_q(cols) -> int:
-    # Column reduction with integer arithmetic; scaling a column by a
-    # nonzero rational and adding multiples of other columns preserve rank
-    # over Q, and gcd normalization keeps the entries small.
-    pivots: dict[int, dict[int, int]] = {}
-    rank = 0
-    for col in cols:
-        cur = {r: v for r, v in col.items() if v}
-        while cur:
-            low = max(cur)
-            piv = pivots.get(low)
-            if piv is None:
-                g = 0
-                for v in cur.values():
-                    g = gcd(g, v)
-                if g > 1:
-                    cur = {r: v // g for r, v in cur.items()}
-                pivots[low] = cur
-                rank += 1
-                break
-            a, b = cur[low], piv[low]
+            b, rest = pivots[low]
             g = gcd(a, b)
-            ca, cb = b // g, a // g
-            nxt = {r: ca * v for r, v in cur.items()}
-            for r, v in piv.items():
-                nv = nxt.get(r, 0) - cb * v
-                if nv:
-                    nxt[r] = nv
+            scale, factor = b // g, a // g
+            if scale != 1:
+                cur = {r: scale * v % p if p else scale * v for r, v in cur.items()}
+            for r, v in rest.items():
+                x = cur.get(r, 0) - factor * v
+                if p:
+                    x %= p
+                if x:
+                    cur[r] = x
                 else:
-                    nxt.pop(r, None)
-            cur = nxt
-    return rank
-
-
-def _rank(cols, field_char: int) -> int:
-    if field_char == 2:
-        return _rank_gf2(cols)
-    if field_char == 0:
-        return _rank_exact_q(cols)
-    return _rank_mod_p(cols, field_char)
+                    del cur[r]  # x = 0 only where cur held the entry
+    return len(pivots)
 
 
 def reduced_homology_dims(sl: ComplexSlice, field_char: int = 2,

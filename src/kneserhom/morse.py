@@ -103,7 +103,8 @@ def _critical_cells(adj, w: int, budget: Budget) -> list[int]:
 
 def _facets(face: int):
     """(incidence, facet) pairs of face; the sign alternates along its
-    sorted vertices, as in the boundary maps of `hochster`."""
+    sorted vertices.  The boundary maps of `hochster` take their signs
+    from here too."""
     sign = 1
     rest = face
     while rest:

@@ -85,12 +85,16 @@ def _mask_images(perm, n: int) -> array:
 
 
 def automorphisms(adj) -> list[tuple[int, ...]]:
-    """The candidate generators p with adj[p[v]] == p(adj[v]) for every v."""
+    """The candidate generators p with adj[p[v]] == p(adj[v]) for every v,
+    each once: the candidates of two (m, k) with the same vertex count, or
+    of one small (m, k), may coincide, and `orbits` holds an image array per
+    generator."""
     # Image rows are built from their set bits: on the sparse H(m, k) that
     # costs less than the whole-mask image arrays `orbits` needs.
-    return [perm for perm in candidate_generators(len(adj))
-            if all(adj[perm[v]] == sum(1 << perm[u] for u in bit_indices(row))
-                   for v, row in enumerate(adj))]
+    return list(dict.fromkeys(
+        perm for perm in candidate_generators(len(adj))
+        if all(adj[perm[v]] == sum(1 << perm[u] for u in bit_indices(row))
+               for v, row in enumerate(adj))))
 
 
 def _closure(size: int, maps, seen: bytearray | None = None):

@@ -11,13 +11,13 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kneserhom import morse
 from kneserhom.config import GuardExceeded, Guards
 from kneserhom.graphs import Graph
-from kneserhom.hochster import _rank, _rank_gf2, enumerate_faces, reduced_homology_dims
+from kneserhom.hochster import _rank, enumerate_faces, reduced_homology_dims
 from kneserhom.kneser import build
 
 # Critical cells {1, 6} and {0, 6, 7} in adjacent sizes, joined by a
@@ -179,7 +179,33 @@ def test_budget_counts_tree_nodes_and_flow_cells() -> None:
     assert (exc.value.guard, exc.value.needed) == ("max_faces", 42)
 
 
-def test_gf2_rank_reads_integer_entries_mod_2() -> None:
-    # Morse columns hold integers, not just +-1.
-    assert _rank_gf2([{0: 2, 1: 4}]) == 0
-    assert _rank_gf2([{0: 3}, {0: -1, 1: 2}]) == 1
+def dense_rank_mod_p(cols, p: int, n_rows: int) -> int:
+    """Gauss-Jordan elimination of the dense matrix mod p, with the pivot
+    inverted by Fermat's little theorem."""
+    rows = [[col.get(r, 0) % p for col in cols] for r in range(n_rows)]
+    rank = 0
+    for c in range(len(cols)):
+        pivot = next((r for r in range(rank, n_rows) if rows[r][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inverse = pow(rows[rank][c], p - 2, p)
+        for r in range(n_rows):
+            if r != rank and rows[r][c]:
+                f = rows[r][c] * inverse % p
+                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+# Morse columns hold integers, not just +-1, so entries must be read mod p.
+@example(cols=[{0: 2, 1: 4}], p=2)
+@example(cols=[{0: 3}, {0: -1, 1: 2}], p=2)
+@example(cols=[{0: 3}], p=3)
+@example(cols=[{0: 1, 1: 2}, {0: 2, 1: 4}], p=5)
+@given(st.lists(st.dictionaries(st.integers(0, 5), st.integers(-4, 4), max_size=4),
+                max_size=6),
+       st.sampled_from([2, 3, 5]))
+@settings(max_examples=300, deadline=None)
+def test_rank_mod_p_matches_dense_elimination(cols, p) -> None:
+    assert _rank(cols, p) == dense_rank_mod_p(cols, p, 6)
