@@ -14,7 +14,7 @@ from .closed_form import LinearStrand, betti_linear, linear_strand
 from .combinatorics import binom, k_subsets, n_exact, n_exact_oracle
 from .config import DEFAULT_GUARDS, GuardExceeded, Guards
 from .graphs import (Graph, Side, complement, induced, induced_matching_number,
-                     is_chordal, is_cochordal, neighborhood, three_disjoint)
+                     is_chordal, is_cochordal, neighborhood)
 from .hochster import (BettiTable, enumerate_faces, full_betti_oracle,
                        linear_strand_oracle, pd_of, reduced_h0,
                        reduced_homology_dims, reg_of)
@@ -35,5 +35,5 @@ __all__ = [
     "is_chordal", "is_cochordal", "k_subsets", "linear_strand",
     "linear_strand_oracle", "n_exact", "n_exact_oracle", "neighborhood",
     "pd_bounds", "pd_of", "reduced_h0", "reduced_homology_dims", "reg_bounds",
-    "reg_of", "reg_power_bounds", "star_cover", "tau_of", "three_disjoint",
+    "reg_of", "reg_power_bounds", "star_cover", "tau_of",
 ]

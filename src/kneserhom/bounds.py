@@ -167,10 +167,16 @@ def gamma_of(g: Graph, c: int, guards: Guards = DEFAULT_GUARDS) -> SearchResult:
     """Minimum size of a vertex set X with c contained in N(X), by iterative
     deepening; the witness mask attains it.  Raises if some demanded vertex
     has no neighbor at all."""
+    return _gamma(g, c, guards, 0)[0]
+
+
+def _gamma(g: Graph, c: int, guards: Guards, nodes: int) -> tuple[SearchResult, int]:
+    """`gamma_of`, counting its search nodes against max_search_nodes on top
+    of the nodes already spent; returns the result and the new count."""
     if c & ~g.full_mask:
         raise ValueError("gamma_of: c mentions vertices outside the graph")
     if c == 0:
-        return SearchResult(0, 0)
+        return SearchResult(0, 0), nodes
     adj = g.adj
     # Adjacency is symmetric, so the vertices that cover u are its neighbors.
     # tiers groups the demanded vertices by coverer count, fewest first: the
@@ -184,7 +190,6 @@ def gamma_of(g: Graph, c: int, guards: Guards = DEFAULT_GUARDS) -> SearchResult:
         by_count[count] = by_count.get(count, 0) | 1 << u
     tiers = [by_count[count] for count in sorted(by_count)]
     max_cover = max((row & c).bit_count() for row in adj)
-    nodes = 0
 
     def dfs(uncovered: int, depth: int, chosen: int) -> int | None:
         # A node is entered only when it is no leaf, has depth left and
@@ -209,7 +214,7 @@ def gamma_of(g: Graph, c: int, guards: Guards = DEFAULT_GUARDS) -> SearchResult:
     while True:
         got = dfs(c, depth, 0)
         if got is not None:
-            return SearchResult(got.bit_count(), got)
+            return SearchResult(got.bit_count(), got), nodes
         depth += 1
 
 
@@ -292,7 +297,8 @@ def tau_of(g: Graph, guards: Guards = DEFAULT_GUARDS) -> int:
     An automorphism maps maximal independent sets onto maximal independent
     sets and N(X) onto N(image of X), so it keeps gamma_of(C).  The maximum
     is therefore taken over the C that hold the r and miss the earlier of
-    some root of `symmetry.orbit_roots`."""
+    some root of `symmetry.orbit_roots`.  One max_search_nodes count covers
+    the sets listed and the nodes of every covering search."""
     live = 0
     for v in range(g.n):
         if g.adj[v]:
@@ -300,9 +306,11 @@ def tau_of(g: Graph, guards: Guards = DEFAULT_GUARDS) -> int:
     if live == 0:
         return 0
     g0 = induced(g, live)
-    best = 0
-    for c in _maximal_independent_sets(g0, guards, orbit_roots(g0.adj)):
-        best = max(best, gamma_of(g0, c, guards).value)
+    sets = _maximal_independent_sets(g0, guards, orbit_roots(g0.adj))
+    best, nodes = 0, len(sets)
+    for c in sets:
+        got, nodes = _gamma(g0, c, guards, nodes)
+        best = max(best, got.value)
     return best
 
 
@@ -331,15 +339,14 @@ def certify_induced_matching(m: int, k: int, s: int | None = None,
     matching number when the exhaustive search fits the guards.  The
     family is checked by `graphs.matching_checks`, with one mask test per
     edge of the graph in place of a test per pair of edges, by the reach
-    lemma: for an edge e = (a, b), reach(e) = N[a] | N[b] holds an end of
-    an edge f iff e and f are not three-disjoint."""
+    lemma stated there."""
     kn = build(m, k, guards)
     g = kn.graph
     if s is None:
         s = _default_spread(m, k)
     fam = e_s_family(kn, s)
     expected = binom(2 * k, k)
-    pairwise, maximal = matching_checks(g, fam)
+    present, pairwise, maximal = matching_checks(g, fam)
     cert = Certificate(
         kind="induced_matching",
         payload={
@@ -349,7 +356,7 @@ def certify_induced_matching(m: int, k: int, s: int | None = None,
         },
         checks=(
             ("size_is_central_binomial", len(fam) == expected),
-            ("all_edges_present", all(g.has_edge(u, v) for u, v in fam)),
+            ("all_edges_present", present),
             ("pairwise_three_disjoint", pairwise),
             ("maximal", maximal),
         ),

@@ -16,7 +16,8 @@ environment variables or the corresponding CLI flags.  What each counts:
   matrix (critical cells against critical cells) in a full Betti table, a
   boundary matrix in `reduced_homology_dims`;
 - max_search_nodes: the nodes of one exact search, and the families or
-  sets an exhaustive check lists.
+  sets an exhaustive check lists; `tau_of` counts its maximal independent
+  sets and the nodes of all its covering searches as one total.
 """
 
 from __future__ import annotations

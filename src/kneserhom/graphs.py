@@ -204,59 +204,45 @@ def is_cochordal(g: Graph) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _reach(g: Graph, e: tuple[int, int]) -> int:
-    a, b = e
-    if not g.has_edge(a, b):
-        raise ValueError(f"three_disjoint: ({a},{b}) is not an edge")
-    return g.adj[a] | g.adj[b]
-
-
-def three_disjoint(g: Graph, e: tuple[int, int], f: tuple[int, int]) -> bool:
-    """True iff edges e and f have disjoint endpoints and the induced
-    subgraph on the four endpoints contains no edge besides e and f.
+def matching_checks(g: Graph, fam) -> tuple[bool, bool, bool]:
+    """(edges, pairwise, maximal) for a family fam of vertex pairs: is every
+    member an edge of g, are the members pairwise three-disjoint, and is
+    every edge of g not three-disjoint from some member?  The lemma below
+    holds only for edges, so when edges is False the other two are too.
 
     Reach lemma: for an edge e = (a, b), reach(e) = adj[a] | adj[b] is
-    N[a] | N[b], since a and b are adjacent.  An end of f lies in it iff f
-    shares an end with e or a cross edge joins them, so e and f are
-    three-disjoint iff reach(e) holds neither end of f."""
-    reach = _reach(g, e)
-    _reach(g, f)
-    c, d = f
-    return not (reach >> c & 1 or reach >> d & 1)
-
-
-def matching_checks(g: Graph, fam) -> tuple[bool, bool]:
-    """(pairwise, maximal) for a family fam of edges of g: are its members
-    pairwise three-disjoint, and is every edge of g not three-disjoint
-    from some member?  Raises ValueError on the first non-edge member.
-
-    By the reach lemma, with ends the mask of the members' endpoints: the
-    family is pairwise three-disjoint iff ends has 2|fam| bits and each
-    member's reach misses ends outside its own two ends; an edge e fails
-    against some member iff reach(e) & ends != 0 (a member does, by its
-    own ends)."""
-    reaches = [_reach(g, e) for e in fam]
+    N[a] | N[b], since a and b are adjacent.  An end of an edge f lies in
+    it iff f shares an end with e or a cross edge joins them, so e and f
+    are three-disjoint iff reach(e) holds neither end of f.  With ends the
+    mask of the members' endpoints, the family is pairwise three-disjoint
+    iff ends has 2|fam| bits and each member's reach misses ends outside
+    its own two ends; an edge e fails against some member iff
+    reach(e) & ends != 0 (a member does, by its own ends)."""
+    adj = g.adj
+    if not all(adj[a] >> b & 1 for a, b in fam):
+        return False, False, False
     ends = 0
     for a, b in fam:
         ends |= 1 << a | 1 << b
     pairwise = ends.bit_count() == 2 * len(fam) and not any(
-        reach & ends & ~(1 << a | 1 << b) for reach, (a, b) in zip(reaches, fam))
-    adj = g.adj
-    return pairwise, all((adj[a] | adj[b]) & ends for a, b in g.edges())
+        (adj[a] | adj[b]) & ends & ~(1 << a | 1 << b) for a, b in fam)
+    return True, pairwise, all((adj[a] | adj[b]) & ends for a, b in g.edges())
 
 
 def _conflict_rows(g: Graph, edges) -> list[int]:
-    """Row i has bit j != i iff edges[i] and edges[j] are not
-    three-disjoint: by the reach lemma, the OR over the vertices v of
-    reach(edges[i]) of the mask of the edges incident to v, less bit i."""
+    """Row i has bit j != i iff edges[i] and edges[j], edges of g, are not
+    three-disjoint: by the reach lemma of `matching_checks`, the OR over
+    the vertices v of reach(edges[i]) of the mask of the edges incident to
+    v, less bit i."""
+    adj = g.adj
     incident = [0] * g.n
     for i, (a, b) in enumerate(edges):
         incident[a] |= 1 << i
         incident[b] |= 1 << i
     rows = []
-    for i, e in enumerate(edges):
+    for i, (a, b) in enumerate(edges):
         row = 0
-        for v in bit_indices(_reach(g, e)):
+        for v in bit_indices(adj[a] | adj[b]):
             row |= incident[v]
         rows.append(row & ~(1 << i))
     return rows
@@ -271,8 +257,9 @@ def induced_matching_number(g: Graph, guards: Guards = DEFAULT_GUARDS,
                             max_edges: int = 64) -> InducedMatching:
     """Exact maximum induced matching by branch and bound over the edge
     conflict graph (edges conflict when not three-disjoint).  Each conflict
-    row is built from reach masks by the reach lemma (`_conflict_rows`), in
-    O(|E| * degree) ORs, not by a test of every pair of edges."""
+    row is built from reach masks (`_conflict_rows`, by the reach lemma of
+    `matching_checks`), in O(|E| * degree) ORs, not by a test of every pair
+    of edges."""
     edges = g.edges()
     ne = len(edges)
     if ne > max_edges:

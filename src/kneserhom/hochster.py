@@ -201,20 +201,16 @@ def enumerate_faces(g: Graph, w: int, guards: Guards = DEFAULT_GUARDS) -> Comple
     if w & ~g.full_mask:
         raise ValueError("enumerate_faces: w mentions vertices outside the graph")
     adj = g.adj
+    budget = morse.Budget(guards, f"enumerate_faces on {w.bit_count()} vertices")
+    budget.spend()  # the empty face
     strata: list[list[int]] = [[0]]
-    count = 1
-    limit = guards.max_faces
-    context = f"enumerate_faces on {w.bit_count()} vertices"
 
     def rec(cand: int, cur: int, size: int) -> None:
-        nonlocal count
         while cand:
             low = cand & -cand
             cand ^= low
             f = cur | low
-            count += 1
-            if count > limit:
-                guards.check("max_faces", count, context)
+            budget.spend()
             if len(strata) <= size + 1:
                 strata.append([])
             strata[size + 1].append(f)

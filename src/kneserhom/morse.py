@@ -41,8 +41,10 @@ from .config import Guards
 
 
 class Budget:
-    """The max_faces guard over every slice that shares it: it counts
-    matching-tree nodes and flow cells as they are built."""
+    """The max_faces guard over everything counted against it: the
+    matching-tree nodes and flow cells of every slice that shares it, as
+    they are built, or the faces of one complex in
+    `hochster.enumerate_faces`."""
 
     __slots__ = ("guards", "context", "limit", "used")
 

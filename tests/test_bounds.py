@@ -24,7 +24,7 @@ from kneserhom.bounds import (
     tau_of,
 )
 from kneserhom.combinatorics import binom, mask_of
-from kneserhom.config import Guards
+from kneserhom.config import GuardExceeded, Guards
 from kneserhom.graphs import Graph, bit_indices
 from kneserhom.hochster import full_betti_oracle, pd_of, reg_of
 from kneserhom.kneser import build, gamma_demand_family
@@ -204,13 +204,13 @@ def test_gamma_of_work_is_pinned() -> None:
 
 
 def test_certify_induced_matching_refuses_a_non_edge(monkeypatch) -> None:
-    # A family member that is no edge of the graph is an error, not a
-    # failed check: vertices 0 and 1 both sit on the left side.
+    # A family member that is no edge of the graph is a failed check, named
+    # in the refusal: vertices 0 and 1 both sit on the left side.
     import kneserhom.bounds as bounds_module
     real = bounds_module.e_s_family
     monkeypatch.setattr(bounds_module, "e_s_family",
                         lambda kn, s: (*real(kn, s)[:2], (0, 1), *real(kn, s)[2:]))
-    with pytest.raises(ValueError, match=r"^three_disjoint: \(0,1\) is not an edge$"):
+    with pytest.raises(CertificateError, match=r"failed checks: .*\ball_edges_present\b"):
         certify_induced_matching(5, 2)
 
 
@@ -279,11 +279,16 @@ def test_tau_examples() -> None:
 
 def test_searches_fit_a_thousand_nodes() -> None:
     # An exact bound on the work of the orbit-root searches: i(H(10,2))
-    # takes 580 nodes and tau(H(8,2)) walks 218 maximal independent sets.
-    # Started from every vertex they took 48,105 and 1,718.
+    # takes 580 nodes, started from every vertex 48,105.  tau(H(8,2)) walks
+    # 218 maximal independent sets (1,718 from every vertex) and its
+    # covering searches 2,250 nodes, all counted against one total.
     guards = Guards(max_search_nodes=1_000)
     assert independent_domination_number(build(10, 2).graph, guards).value == 6
-    assert tau_of(build(8, 2).graph, guards) == 4
+    g = build(8, 2).graph
+    assert tau_of(g, Guards(max_search_nodes=2_468)) == 4
+    with pytest.raises(GuardExceeded) as exc:
+        tau_of(g, Guards(max_search_nodes=2_467))
+    assert (exc.value.guard, exc.value.needed) == ("max_search_nodes", 2_468)
 
 
 def test_tau_below_regularity() -> None:

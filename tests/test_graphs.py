@@ -18,7 +18,6 @@ from kneserhom.graphs import (
     neighborhood,
     _conflict_rows,
     matching_checks,
-    three_disjoint,
 )
 from kneserhom.export import to_dot_graph
 from kneserhom.kneser import build
@@ -214,11 +213,10 @@ def test_cochordal_cases() -> None:
 
 def test_three_disjoint_requires_edges() -> None:
     g = cycle_graph(6)
-    with pytest.raises(ValueError):
-        three_disjoint(g, (0, 2), (3, 4))
-    assert three_disjoint(g, (0, 1), (3, 4))
-    assert not three_disjoint(g, (0, 1), (2, 3))  # 1-2 is a cross edge
-    assert not three_disjoint(g, (0, 1), (1, 2))  # shared endpoint
+    assert matching_checks(g, [(0, 2), (3, 4)]) == (False, False, False)
+    assert matching_checks(g, [(0, 1), (3, 4)])[:2] == (True, True)
+    assert matching_checks(g, [(0, 1), (2, 3)])[:2] == (True, False)  # 1-2 is a cross edge
+    assert matching_checks(g, [(0, 1), (1, 2)])[:2] == (True, False)  # shared endpoint
 
 
 def label_criterion(kn, e, f) -> bool:
@@ -238,8 +236,10 @@ def test_three_disjoint_matches_containment_criterion(m: int, k: int) -> None:
     kn = build(m, k)
     g = kn.graph
     edges = g.edges()
-    for e, f in itertools.combinations(edges, 2):
-        assert three_disjoint(g, e, f) == label_criterion(kn, e, f), (e, f)
+    rows = _conflict_rows(g, edges)
+    for (i, e), (j, f) in itertools.combinations(enumerate(edges), 2):
+        conflict = not label_criterion(kn, e, f)
+        assert (rows[i] >> j & 1, rows[j] >> i & 1) == (conflict, conflict), (e, f)
 
 
 def brute_three_disjoint(edge_set, e, f) -> bool:
@@ -272,21 +272,20 @@ def test_reach_masks_match_pair_tests(case) -> None:
                    for e, f in itertools.combinations(fam, 2))
     maximal = all(any(not brute_three_disjoint(edge_set, e, f) for f in fam)
                   for e in edges if e not in fam)
-    assert matching_checks(g, fam) == (pairwise, maximal)
+    assert matching_checks(g, fam) == (True, pairwise, maximal)
     for family in (edges, fam):
         rows = _conflict_rows(g, family)
         for i, e in enumerate(family):
             want = sum(1 << j for j, f in enumerate(family)
                        if j != i and not brute_three_disjoint(edge_set, e, f))
             assert rows[i] == want, (family, i)
-    for e, f in itertools.product(fam, repeat=2):
-        assert three_disjoint(g, e, f) == brute_three_disjoint(edge_set, e, f)
 
 
 @given(graphs_with_families(), st.data())
 @settings(max_examples=100, deadline=None)
 def test_matching_checks_refuses_a_non_edge(case, data) -> None:
-    # Every other member is an edge, so the one non-edge is the one named.
+    # One non-edge among edges fails all three checks: the reach lemma
+    # holds only for edges.
     g, edges, fam = case
     edge_set = {frozenset(e) for e in edges}
     non_edges = [(u, v) for u in range(g.n) for v in range(g.n)
@@ -295,8 +294,7 @@ def test_matching_checks_refuses_a_non_edge(case, data) -> None:
         return
     u, v = data.draw(st.sampled_from(non_edges))
     fam.insert(data.draw(st.integers(0, len(fam))), (u, v))
-    with pytest.raises(ValueError, match=rf"^three_disjoint: \({u},{v}\) is not an edge$"):
-        matching_checks(g, fam)
+    assert matching_checks(g, fam) == (False, False, False)
 
 
 # Sizes, witnesses and node counts, pinned from the pairwise-loop
@@ -342,8 +340,10 @@ def test_induced_matching_witness_is_valid(kn52) -> None:
     res = induced_matching_number(g)
     assert res.size == 6
     assert len(res.edges) == 6
+    edge_set = {frozenset(e) for e in g.edges()}
+    assert all(frozenset(e) in edge_set for e in res.edges)
     for e, f in itertools.combinations(res.edges, 2):
-        assert three_disjoint(g, e, f)
+        assert brute_three_disjoint(edge_set, e, f)
 
 
 def test_induced_matching_edge_cap() -> None:

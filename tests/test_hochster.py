@@ -186,6 +186,13 @@ def test_enumerate_faces_guard() -> None:
     with pytest.raises(GuardExceeded) as exc:
         enumerate_faces(empty_graph(6), 0b111111, guards=tight)
     assert exc.value.guard == "max_faces"
+    # The 64 faces of the empty graph on 6 vertices, the empty face among
+    # them, fit a limit of 64 and not one of 63.
+    assert enumerate_faces(empty_graph(6), 0b111111,
+                           guards=Guards(max_faces=64)).face_count() == 64
+    with pytest.raises(GuardExceeded) as exc:
+        enumerate_faces(empty_graph(6), 0b111111, guards=Guards(max_faces=63))
+    assert (exc.value.guard, exc.value.needed) == ("max_faces", 64)
 
 
 def test_homology_of_handmade_complexes() -> None:

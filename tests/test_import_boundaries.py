@@ -1,11 +1,14 @@
 """The closed formula and the Hochster oracle are two independent routes to
 the same numbers; their agreement means something only while neither
-imports the other.  These tests read the import statements of the source.
+imports the other.  The package also declares no runtime dependency, so
+it may import only the standard library.  These tests read the import
+statements of the source.
 """
 
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 import kneserhom
@@ -85,3 +88,21 @@ def test_morse_imports_only_config() -> None:
     # The slice engine sees adjacency rows and a rank function, not graphs,
     # fields or the Hochster sum.
     assert package_imports("morse") == {"config"}
+
+
+def test_source_imports_only_the_standard_library() -> None:
+    # pyproject.toml declares no runtime dependency; networkx and sympy are
+    # test-only cross-checks and must stay out of the package.
+    allowed = sys.stdlib_module_names | {"kneserhom"}
+    outside = set()
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            outside |= {(path.name, name) for name in names
+                        if name.split(".")[0] not in allowed}
+    assert not outside, sorted(outside)

@@ -11,7 +11,7 @@ import pytest
 import kneserhom
 from kneserhom.combinatorics import binom, elements_of, mask_of
 from kneserhom.config import GuardExceeded, Guards
-from kneserhom.graphs import Side, bit_indices, is_cochordal, three_disjoint
+from kneserhom.graphs import Side, bit_indices, is_cochordal
 from kneserhom.kneser import (
     KneserGraph,
     build,
@@ -137,6 +137,13 @@ def test_cube_graph(kn41: KneserGraph) -> None:
     assert all(row.bit_count() == 3 for row in g.adj)
 
 
+def pair_three_disjoint(g, e, f) -> bool:
+    # Four distinct ends, and no edge of g joins an end of e to one of f.
+    (a, b), (c, d) = e, f
+    return (len({a, b, c, d}) == 4
+            and not any(g.has_edge(x, y) for x in (a, b) for y in (c, d)))
+
+
 @pytest.mark.parametrize("m,k", [(2, 1), (3, 1), (4, 1), (5, 1), (6, 1),
                                  (4, 2), (5, 2), (6, 2)])
 def test_e_s_family_is_maximum_induced_matching(m: int, k: int) -> None:
@@ -150,12 +157,12 @@ def test_e_s_family_is_maximum_induced_matching(m: int, k: int) -> None:
         for u, v in fam:
             assert g.has_edge(u, v)
         for e, f in itertools.combinations(fam, 2):
-            assert three_disjoint(g, e, f)
+            assert pair_three_disjoint(g, e, f)
         # maximal: no further edge is 3-disjoint from all members
         for e in g.edges():
             if e in fam:
                 continue
-            assert not all(three_disjoint(g, e, f) for f in fam)
+            assert not all(pair_three_disjoint(g, e, f) for f in fam)
 
 
 def test_e_s_family_rejects_bad_spread(kn52: KneserGraph) -> None:
