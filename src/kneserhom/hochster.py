@@ -10,8 +10,11 @@ full table takes one W per orbit on vertex subsets, weights it by the
 orbit's size, and gets each slice's homology from the critical cells of a
 matching tree and their Morse complex (`morse`), without listing faces.
 The linear strand walks, for each vertex orbit, the (i+1)-subsets that hold
-the orbit's smallest vertex and no vertex of an earlier orbit, and weights
+the orbit's smallest vertex r and no vertex of an earlier orbit, and weights
 each by the orbit's size over the number of the orbit's vertices it holds.
+From i = 3 on it applies the same rule once more under the stabiliser of
+r: of the rest of W it walks, for each orbit of the stabiliser, only the
+sets that hold that orbit's smallest vertex and miss the orbits before it.
 It needs only H~_0, and counts the complement components by adding W's
 vertices one at a time to the components of the smaller subsets it has
 already walked, and the last vertex by popcounts.  It shares no code path
@@ -40,7 +43,7 @@ from . import morse
 from .combinatorics import bit_indices
 from .config import DEFAULT_GUARDS, Guards
 from .graphs import Graph
-from .symmetry import automorphisms, orbit_roots, orbits
+from .symmetry import automorphisms, orbit_roots, orbits, root_stabiliser_orbits
 
 
 def _is_prime(p: int) -> bool:
@@ -99,19 +102,42 @@ def linear_strand_oracle(g: Graph, i: int, threads: int = 1,
                          guards: Guards = DEFAULT_GUARDS) -> int:
     """beta_{i, i+1}(R/I(G)): the sum of dim H~_0 over all (i+1)-subsets W
     of the vertices, taken over the vertex orbits O_1, O_2, ... of the
-    verified automorphisms of g, in order of smallest vertex.
+    verified automorphisms of g, in order of smallest vertex, and then over
+    the orbits of each orbit's root stabiliser.
 
     Each W is counted from the first orbit O_t it meets, split evenly over
     the |W & O_t| vertices it holds there.  An automorphism preserves every
     orbit, |W & O_t| and dim H~_0, so the share of every v in O_t is that
     of the smallest vertex r: |O_t| times the sum, over the W that hold r
-    and no vertex of an earlier orbit, of dim H~_0 / |W & O_t|.  Only those
-    W are walked: for each root (r, O_t, earlier) of
-    `symmetry.orbit_roots`, r and i of the ids above r outside earlier.
-    Earlier orbits may interleave with O_t in id order, so the ids above r
-    are not enough.  H(m, k) has one orbit, so the walk takes C(n-1, i)
-    subsets in place of C(n, i+1); a graph with no verified generator has n
-    singleton orbits, each of weight 1, which is the plain sum.
+    and no vertex of an earlier orbit, of dim H~_0 / |W & O_t|.  So W is
+    r and an i-set U of the allowed ids, those outside the earlier orbits
+    other than r; every vertex below r lies in an earlier orbit.  The
+    roots (r, O_t, earlier) are those of `symmetry.orbit_roots`.
+
+    The same lemma applies again to U.  The stabiliser of r fixes r and
+    preserves O_t and the allowed ids, so the summand
+    dim H~_0 / |W & O_t| is invariant under it.  Take its orbits P_1,
+    P_2, ... on the allowed ids, in order of smallest vertex s_j, from
+    `symmetry.root_stabiliser_orbits`: each U is counted from the first
+    P_j it meets, and the sum over U is sum_j |P_j| times the sum, over
+    the U that hold s_j and miss P_1 ... P_{j-1}, of the summand over
+    |U & P_j|.  The other ids of such a U lie above s_j, in P_j or a later
+    part, so the walk starts at the prefixes {r, s_j}.  The whole sum is
+    exact in units of 1/(lcm(1..i+1) lcm(1..i)), and RuntimeError is
+    raised if it is not whole.
+
+    The stabiliser orbits are used when i >= 3 and n^2 <= C(n, i+1).  For
+    i <= 2 the walk below s_j is at most the popcount tail, so the
+    stabiliser can save nothing.  Its orbits come from a walk over the n^2
+    ordered vertex pairs, and the second bound keeps that walk within the
+    C(n, i+1) subsets the max_subsets guard has let through; n^2 is larger
+    only for i + 1 near n, where the sum is small.  Otherwise each allowed
+    id is its own part, of weight 1, and the walk is the plain one step for
+    step: at i = 1 it is the popcount tail of {r}, and at i = 2 the
+    prefixes {r, s} for every allowed s.  H(m, k) has one vertex orbit, and
+    on H(6,2) the stabiliser S_2 x S_4 of a vertex cuts the 29 allowed ids
+    into 5 parts.  A graph with no verified generator has n singleton
+    orbits and singleton parts, which is the plain sum.
 
     The walk grows each W one vertex at a time, in increasing id order,
     depth first on an explicit stack, and carries the components of the
@@ -122,7 +148,8 @@ def linear_strand_oracle(g: Graph, i: int, threads: int = 1,
     The last vertex is then not walked: over the ids X above the last one
     of an i-vertex prefix W', the sum of c(W' + x) - 1 is
     |X| c(W') - sum_C |reach(C) & X|, a few popcounts on a precomputed
-    mask of X, taken once on its ids in O_t and once on the others.
+    mask of X, taken once for each of the classes of X by membership of
+    O_t and of P_j.
 
     The max_subsets guard counts the C(n, i+1) subsets the sum stands for,
     not the subsets it walks.  threads is accepted and ignored: the sum is
@@ -139,38 +166,70 @@ def linear_strand_oracle(g: Graph, i: int, threads: int = 1,
     full = g.full_mask
     # Complement rows: v's row holds every other vertex not adjacent to v.
     adjc = [full & ~row & ~(1 << v) for v, row in enumerate(g.adj)]
-    # sums[c] adds dim H~_0 over the walked W with |W & O_t| = c; the
-    # weighted total stays an exact integer in units of 1/scale.
-    scale = lcm(*range(1, i + 2))
-    total = 0
-    for r, in_orbit, earlier in orbit_roots(g.adj):
-        # the ids W may add to r: above r, in no orbit before O_t
-        allowed = full & ~earlier & ~((2 << r) - 1)
-        ids = bit_indices(allowed)
-        span = len(ids)
-        if span < i:
-            continue  # no W of i + 1 vertices fits
-        tails = [allowed >> x << x for x in ids] + [0]  # tails[p]: ids[p:]
-        sums = [0] * (i + 2)
-        # (reaches, |W' & O_t|, first position in ids that may follow, |W'|)
-        # for each prefix W' still to grow
-        stack = [([adjc[r]], 1, 0, 1)]
-        while stack:
-            reaches, c, start, depth = stack.pop()
+    if i >= 3 and n * n <= total_subsets:
+        roots = root_stabiliser_orbits(g.adj)
+    else:
+        singletons = [1 << v for v in range(n)]
+        roots = [(r, o, earlier, singletons) for r, o, earlier in orbit_roots(g.adj)]
+    # sums[c][d] adds |O_t| |P| dim H~_0 over the walked W with
+    # |W & O_t| = c and |U & P| = d
+    sums = [[0] * (i + 1) for _ in range(i + 2)]
+    for r, in_orbit, earlier, parts in roots:
+        # the ids U may hold: every vertex below r lies in an earlier orbit
+        allowed = full & ~earlier & ~(1 << r)
+        size = in_orbit.bit_count()
+        if i == 1:
+            # U = {x} for x in the tail of {r}, and {x} is its own part: with
+            # allowed as the seed's part, the tail counts d = 1 and |P| = 1
+            seeds = [([adjc[r]], 1, 0, 1, allowed, allowed, size)] if allowed else []
+        else:
+            # (reaches, |W' & O_t|, |U' & P|, |W'|, ids after s, P,
+            # |O_t| |P|) for each prefix W' = {r, s} of a part P with room
+            # for U
+            seeds = []
+            later = allowed  # the ids of the parts from P on
+            for part in parts:
+                if part & later:
+                    s = (part & -part).bit_length() - 1
+                    pool = later ^ 1 << s
+                    later ^= part
+                    if pool.bit_count() >= i - 1:
+                        seeds.append((_add_vertex([adjc[r]], s, adjc[s]), 1 + (in_orbit >> s & 1),
+                                      1, 2, pool, part, size * part.bit_count()))
+        for reaches, c, d, depth, pool, part, weight in seeds:
             if depth < i:
-                # the prefix leaves room for the i - depth vertices after it
-                for p in range(span - i + depth - 1, start - 1, -1):
-                    x = ids[p]
-                    stack.append((_add_vertex(reaches, x, adjc[x]),
-                                  c + (in_orbit >> x & 1), p + 1, depth + 1))
-                continue
-            comps = len(reaches)
-            above = tails[start]
-            for bucket, xs in ((c + 1, above & in_orbit), (c, above & ~in_orbit)):
-                if xs:
-                    sums[bucket] += xs.bit_count() * comps - sum(
-                        (q & xs).bit_count() for q in reaches)
-        total += in_orbit.bit_count() * sum(sums[c] * (scale // c) for c in range(1, i + 2))
+                ids = bit_indices(pool)
+                tails = [pool >> x << x for x in ids]  # tails[p]: ids[p:]
+            else:
+                ids, tails = (), [pool]  # the seed is its own tail
+            span = len(ids)
+            # the tail's ids by whether they add to |W & O_t| and |U & P|
+            classes = [(xs, dc, dd) for xs, dc, dd in (
+                (pool & in_orbit & part, 1, 1), (pool & in_orbit & ~part, 1, 0),
+                (pool & ~in_orbit & part, 0, 1), (pool & ~in_orbit & ~part, 0, 0)) if xs]
+            # (reaches, |W' & O_t|, |U' & P|, first position in ids that may
+            # follow, |W'|) for each prefix W' still to grow
+            stack = [(reaches, c, d, 0, depth)]
+            while stack:
+                reaches, c, d, start, depth = stack.pop()
+                if depth < i:
+                    # the prefix leaves room for the i - depth vertices after it
+                    for p in range(span - i + depth - 1, start - 1, -1):
+                        x = ids[p]
+                        stack.append((_add_vertex(reaches, x, adjc[x]), c + (in_orbit >> x & 1),
+                                      d + (part >> x & 1), p + 1, depth + 1))
+                    continue
+                comps = len(reaches)
+                above = tails[start]
+                for xs, dc, dd in classes:
+                    xs &= above
+                    if xs:
+                        sums[c + dc][d + dd] += weight * (xs.bit_count() * comps - sum(
+                            (q & xs).bit_count() for q in reaches))
+    # Each summand is |O_t| |P| dim H~_0 / (c d), an exact integer in units
+    # of 1/scale.
+    scale = lcm(*range(1, i + 2)) * lcm(*range(1, i + 1))
+    total = sum(sums[c][d] * (scale // (c * d)) for c in range(1, i + 2) for d in range(1, i + 1))
     value, remainder = divmod(total, scale)
     if remainder:
         raise RuntimeError(f"linear_strand_oracle: the orbit-weighted sum on a "

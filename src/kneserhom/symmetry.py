@@ -13,9 +13,11 @@ adjacency onto itself.  A graph that is no H(m, k) in that layout keeps no
 generator, and then every vertex, and every vertex subset, is its own
 orbit.  H(m, k) itself has one vertex orbit.
 
-One closure walk finds the orbits on vertices and on vertex subsets.  The
-linear strand oracle and the i and tau searches start at the roots of
-`orbit_roots`; the full Betti table sums over `orbits`.
+One closure walk finds the orbits on vertices, on ordered vertex pairs and
+on vertex subsets.  The linear strand oracle and the i and tau searches
+start at the roots of `orbit_roots`; the strand oracle also reads, from
+`root_stabiliser_orbits`, the orbits of each root's stabiliser, which the
+pair orbits give; the full Betti table sums over `orbits`.
 
 Permutations are tuples p of vertex ids, p[v] the image of v.
 """
@@ -134,12 +136,48 @@ def orbit_roots(adj) -> list[tuple[int, int, int]]:
     So a search for such a set need only start at these roots.  A graph
     with no verified generator has n singleton orbits, and the roots split
     the sets by their smallest vertex."""
+    return _roots(len(adj), automorphisms(adj))
+
+
+def _roots(n: int, generators) -> list[tuple[int, int, int]]:
+    """`orbit_roots` for the group the generators span on n vertices."""
     out = []
     earlier = 0
-    for orbit in _closure(len(adj), automorphisms(adj)):
+    for orbit in _closure(n, generators):
         mask = sum(1 << v for v in orbit)
         out.append((orbit[0], mask, earlier))
         earlier |= mask
+    return out
+
+
+def root_stabiliser_orbits(adj) -> list[tuple[int, int, int, list[int]]]:
+    """(r, orbit, earlier, parts) for each root (r, orbit, earlier) of
+    `orbit_roots`, where parts lists the orbits of the stabiliser of r, the
+    verified automorphisms that fix r, as vertex masks in order of smallest
+    vertex.  They partition the vertices; {r} is one of them, and since the
+    stabiliser preserves every vertex orbit, each lies in one vertex orbit.
+
+    They are read off the orbits of the generators on the n^2 ordered
+    pairs, the point a n + b standing for (a, b): (r, x) and (r, y) lie in
+    one pair orbit exactly when some automorphism maps r to r and x to y,
+    that is, when x and y lie in one orbit of the stabiliser of r.  So no
+    generator of the stabiliser is needed, and the walk costs n^2 steps per
+    generator.  A graph with no verified generator gets n singleton parts
+    per root."""
+    n = len(adj)
+    generators = automorphisms(adj)
+    pair_maps = [[a + b for a in [p[x] * n for x in range(n)] for b in p] for p in generators]
+    label = [0] * (n * n)
+    for k, orbit in enumerate(_closure(n * n, pair_maps)):
+        for point in orbit:
+            label[point] = k
+    out = []
+    for r, orbit, earlier in _roots(n, generators):
+        parts: dict[int, int] = {}
+        for x in range(n):
+            k = label[r * n + x]
+            parts[k] = parts.get(k, 0) | 1 << x
+        out.append((r, orbit, earlier, list(parts.values())))
     return out
 
 

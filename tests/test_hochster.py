@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kneserhom import morse
+from kneserhom import hochster, morse
 from kneserhom.combinatorics import binom
 from kneserhom.config import GuardExceeded, Guards
 from kneserhom.graphs import Graph, complement, induced
@@ -131,13 +131,37 @@ def test_linear_strand_refuses_a_fractional_orbit_sum(monkeypatch) -> None:
 
 
 def test_linear_strand_guard_counts_every_subset_not_the_walk() -> None:
-    # H(6,2) at i = 5 walks C(28, 4) prefixes of C(29, 5) subsets but
-    # stands for C(30, 6)
+    # H(6,2) at i = 5 walks far fewer prefixes than the C(29, 5) subsets
+    # that hold vertex 0, but stands for C(30, 6)
     tight = Guards(max_subsets=593_774)
     with pytest.raises(GuardExceeded) as exc:
         linear_strand_oracle(build(6, 2).graph, 5, guards=tight)
     assert exc.value.needed == 593_775
     assert "linear strand i=5 on a 30-vertex graph" in str(exc.value)
+
+
+def test_linear_strand_merges_under_the_root_stabiliser(monkeypatch) -> None:
+    # On H(6,2) the stabiliser S_2 x S_4 of vertex 0 cuts the 29 other
+    # vertices into 5 parts, and from i = 3 on the walk starts at one
+    # prefix {0, s} per part.  Summed over the vertex orbit alone, the walk
+    # merged 405, 3,653 and 23,750 times at i = 3, 4 and 5; at i = 1 and 2
+    # both walks are the plain one.
+    g = build(6, 2).graph
+    merge = hochster._add_vertex
+    calls = [0]
+
+    def counted(reaches, v, row):
+        calls[0] += 1
+        return merge(reaches, v, row)
+
+    monkeypatch.setattr(hochster, "_add_vertex", counted)
+    merges = []
+    for i in range(1, 6):
+        calls[0] = 0
+        linear_strand_oracle(g, i)
+        merges.append(calls[0])
+    assert merges == [0, 28, 70, 687, 4_836]
+    assert all(now < before for now, before in zip(merges[2:], (405, 3_653, 23_750)))
 
 
 def test_linear_strand_walks_deep_degrees_without_recursion() -> None:

@@ -6,13 +6,16 @@ vertex subset written here from `enumerate_faces` and
 `reduced_homology_dims` alone: it takes no orbits and folds no vertices.
 A random relabelling of H(m, k) keeps none of the candidate generators, so
 `full_betti_oracle` sums it over 2^n one-subset orbits, and its table must
-equal the one summed over the orbits of the unrelabelled graph.  The linear
+equal the one summed over the orbits of the unrelabelled graph.  The root
+stabilisers of `root_stabiliser_orbits` are checked against the point
+stabilisers of the whole group, listed element by element.  The linear
 strand is checked against a union-find count written here, sharing no code
 with `hochster`, on graphs with one vertex orbit, with n singleton orbits,
 with orbits of sizes 1 and 2, with two orbits that interleave in id
-order, and on dense and sparse random graphs.  All but the random graphs
-also check the searches of `bounds`, which start at one vertex per orbit,
-against the brute forces of `conftest`.
+order, on graphs that keep one generator of a Kneser graph, and on dense
+and sparse random graphs.  All but the random graphs also check the
+searches of `bounds`, which start at one vertex per orbit, against the
+brute forces of `conftest`.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from kneserhom.hochster import (_cone_marks, enumerate_faces, full_betti_oracle,
 from kneserhom.kneser import build
 from kneserhom.symmetry import (_closure, _kneser_parameters, _mask_images,
                                 automorphisms, candidate_generators, orbit_roots,
-                                orbits)
+                                orbits, root_stabiliser_orbits)
 
 from conftest import brute_gamma, brute_independent_domination
 
@@ -98,6 +101,31 @@ def closure_orbits(n: int, gens) -> list[tuple[int, ...]]:
                     orbit.add(p[x])
                     todo.append(p[x])
         out.append(tuple(sorted(orbit)))
+    return out
+
+
+def whole_group(n: int, gens) -> set[tuple[int, ...]]:
+    """Every element of the group the generators span, by closing the
+    identity under composition with each generator."""
+    group = {tuple(range(n))}
+    todo = list(group)
+    while todo:
+        h = todo.pop()
+        for p in gens:
+            ph = tuple(p[x] for x in h)
+            if ph not in group:
+                group.add(ph)
+                todo.append(ph)
+    return group
+
+
+def edge_orbits(edges, p) -> set[tuple[int, int]]:
+    """The edges e, p(e), p(p(e)), ... of each of the edges."""
+    out = set()
+    for e in edges:
+        while e not in out:
+            out.add(e)
+            e = tuple(sorted((p[e[0]], p[e[1]])))
     return out
 
 
@@ -314,6 +342,34 @@ def test_strand_walk_skips_the_vertices_of_earlier_orbits() -> None:
 
 
 @st.composite
+def graphs_keeping_one_generator(draw):
+    """H(3,1), H(4,1), H(4,2) or H(5,1) less the orbits of one to three of
+    its edges under one verified generator p, with p."""
+    m, k = draw(st.sampled_from([(3, 1), (4, 1), (4, 2), (5, 1)]))
+    g = build(m, k).graph
+    p = draw(st.sampled_from(automorphisms(g.adj)))
+    edges = g.edges()
+    drop = edge_orbits(draw(st.sets(st.sampled_from(edges), min_size=1, max_size=3)), p)
+    return Graph.from_edges(g.n, [e for e in edges if e not in drop]), p
+
+
+# The walk reads the root stabilisers from i = 3 on, where n^2 <= C(n, i+1):
+# under the cap, at i = 3 on 8 vertices, 3 to 6 on 10, and 3, 7 and 8 on
+# 12.  These graphs check which parts each root gets; the weights
+# |P| / |U & P| seldom move their sums (on H(m,1) the two pairs a
+# transposition swaps come first and last in id order, and H(4,2) is a
+# matching), so the Kneser graphs themselves, with large parts, test those.
+@settings(max_examples=80, deadline=None)
+@given(graphs_keeping_one_generator())
+def test_strand_on_graphs_keeping_one_generator_equals_brute_force(gp) -> None:
+    g, p = gp
+    assert p in automorphisms(g.adj)
+    for i in range(1, g.n):
+        if binom(g.n, i + 1) <= 500:
+            assert linear_strand_oracle(g, i) == brute_strand(g, i), (g.adj, i)
+
+
+@st.composite
 def dense_or_sparse_graphs(draw, max_n: int = 9) -> Graph:
     """A graph on 2 to max_n vertices: a few pairs flipped from the edgeless
     graph or from K_n, or a pair set drawn outright."""
@@ -377,6 +433,37 @@ def test_orbit_roots_partition_the_vertices() -> None:
     assert earlier == g.full_mask
     assert [(r, orbit) for r, orbit, _ in roots] == [
         (o[0], sum(1 << v for v in o)) for o in closure_orbits(g.n, automorphisms(g.adj))]
+
+
+@pytest.mark.parametrize("g", [build(m, 1).graph for m in range(2, 6)]
+                         + [build(4, 2).graph, build(5, 2).graph, two_paths(),
+                            without_rung_edge(5, 2)])
+def test_root_stabiliser_orbits_match_the_whole_group(g: Graph) -> None:
+    group = whole_group(g.n, automorphisms(g.adj))
+    assert len(group) <= 240
+    roots = root_stabiliser_orbits(g.adj)
+    assert [root[:3] for root in roots] == orbit_roots(g.adj)
+    for r, _, _, parts in roots:
+        stabiliser = [h for h in group if h[r] == r]
+        brute = []
+        for x in range(g.n):
+            if not any(part >> x & 1 for part in brute):
+                brute.append(sum(1 << y for y in {h[x] for h in stabiliser}))
+        assert parts == brute, r
+
+
+def test_root_stabilisers_of_h52_and_of_no_generator() -> None:
+    # S_5 x Z_2 has order 240, and the stabiliser of the vertex {1, 2} of
+    # H(5,2) is S_2 x S_3: it keeps {1, 2} and moves the 2-sets that meet it
+    # in one (6) or no (3) element, and the 3-sets that hold both (3), one
+    # (6) or none (1) of its elements
+    assert len(whole_group(20, automorphisms(build(5, 2).graph.adj))) == 240
+    [(r, _, _, parts)] = root_stabiliser_orbits(build(5, 2).graph.adj)
+    assert r == 0 and sorted(map(int.bit_count, parts)) == [1, 1, 3, 3, 6, 6]
+    g = relabelled(build(4, 2).graph)
+    singletons = [1 << v for v in range(g.n)]
+    assert root_stabiliser_orbits(g.adj) == [(r, 1 << r, (1 << r) - 1, singletons)
+                                             for r in range(g.n)]
 
 
 def test_vertex_orbits_of_no_generator_are_singletons() -> None:
