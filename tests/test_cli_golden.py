@@ -44,6 +44,21 @@ COMMANDS = [
     ["export", "5", "2", "--format", "json"],
     ["info", "5", "2", "--max-subsets", "10"],
     ["info", "3", "2"],
+    # every other output form of each writer, and three more error exits
+    ["info", "5", "2"],
+    ["betti-linear", "5", "2"],
+    ["betti-linear", "5", "2", "--output", "json"],
+    ["betti-linear", "5", "2", "--output", "csv"],
+    ["betti-linear", "4", "2", "--verify"],
+    ["bounds", "5", "2", "--invariant", "reg-power", "--p", "3"],
+    ["bounds", "5", "2", "--invariant", "reg-power", "--p", "3",
+     "--output", "json"],
+    ["certify", "5", "2", "--kind", "matching"],
+    ["certify", "6", "2", "--kind", "cochord", "--output", "json"],
+    ["certify", "4", "2", "--kind", "domination"],
+    ["betti-linear", "5", "2", "--verify", "--output", "csv"],
+    ["certify", "5", "2", "--kind", "matching", "--s", "9"],
+    ["betti-table", "6", "2"],
 ]
 
 GOLDEN = Path(__file__).parent / "golden" / "cli_stdout.txt"
