@@ -10,7 +10,6 @@ exactness only with a stated justification.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -47,13 +46,6 @@ class Certificate:
             raise CertificateError(
                 f"certificate {self.kind} failed checks: {', '.join(failed)}")
 
-    def to_obj(self) -> dict:
-        return {
-            "kind": self.kind,
-            "payload": self.payload,
-            "checks": {name: ok for name, ok in sorted(self.checks)},
-        }
-
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -74,18 +66,6 @@ class BoundReport:
             raise ValueError(
                 f"BoundReport {self.invariant}: exact {self.exact} outside "
                 f"[{self.lower}, {self.upper}]")
-
-    def to_json(self) -> str:
-        payload = {
-            "invariant": self.invariant,
-            "params": self.params,
-            "lower": str(self.lower),
-            "upper": str(self.upper),
-            "exact": None if self.exact is None else str(self.exact),
-            "certificates": [c.to_obj() for c in self.certificates],
-            "anchors": list(self.anchors),
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,15 @@
-"""Command-line interface.
+"""Command-line interface, and the one writer of everything it prints.
 
-Exit codes: 0 success, 1 verification mismatch, 2 parameter error,
-3 enumeration guard exceeded.  All output is deterministic: reruns with the
-same arguments (and any --threads value) are byte-identical.
+Each subcommand returns its exit code and its stdout text; only `main`
+prints, and `betti-table` and `certify` pass through the result cache.
+The math modules return values, and their text, JSON and CSV forms are
+written here, every JSON form by `_json`.  Only the graph exports are
+written by `export`.
+
+Exit codes: 0 success, 1 verification mismatch, 2 parameter error or an
+unusable cache directory, 3 enumeration guard exceeded.  All output is
+deterministic: reruns with the same arguments (and any --threads value)
+are byte-identical.
 """
 
 from __future__ import annotations
@@ -29,6 +36,8 @@ def _guards_from(args) -> Guards:
 # Arguments that do not change the text a successful command prints stay
 # out of the cache key.
 _NOT_IN_KEY = {"func", "cache_dir", "threads", *GUARD_NAMES}
+# The subcommands whose text the cache holds.
+_CACHED = ("betti-table", "certify")
 
 
 def _digest(text: str) -> str:
@@ -49,31 +58,27 @@ def _cache_fetch(args):
         entry = json.loads(path.read_text())
         if _digest(entry["stdout"]) == entry["sha256"]:
             return entry["stdout"], path
-    except (FileNotFoundError, ValueError, LookupError, TypeError,
-            AttributeError):
+    except (OSError, ValueError, LookupError, TypeError, AttributeError):
         pass
     return None, path
 
 
 def _cache_store(path: Path | None, text: str) -> None:
-    # Write a sibling file and rename it over the entry, so a reader sees
-    # the old entry or the new one, never a partial write.
-    if path is not None:
+    """Write a sibling file and rename it over the entry, so a reader sees
+    the old entry or the new one, never a partial write.  A cache that
+    cannot be created or written is a parameter error."""
+    if path is None:
+        return
+    tmp = path.with_suffix(f".{os.getpid()}.tmp")
+    try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".{os.getpid()}.tmp")
         tmp.write_text(json.dumps({"sha256": _digest(text), "stdout": text}))
         os.replace(tmp, path)
-
-
-def _cached(args, produce) -> int:
-    """Print the text produce() returns, served from the cache when the
-    cache holds it."""
-    text, path = _cache_fetch(args)
-    if text is None:
-        text = produce()
-        _cache_store(path, text)
-    print(text, end="")
-    return 0
+    except OSError as exc:
+        if tmp.is_file():
+            tmp.unlink()
+        raise ValueError(f"cannot write to the cache directory "
+                         f"{path.parent}: {exc}") from exc
 
 
 def _parse_subset(raw: str | None, m: int) -> int | None:
@@ -94,11 +99,92 @@ def _parse_subset(raw: str | None, m: int) -> int | None:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# writers
 # ---------------------------------------------------------------------------
 
 
-def cmd_info(args) -> int:
+def _json(obj) -> str:
+    """Every JSON output: two-space indents, sorted keys, a final newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _linear_strand_json(ls: closed_form.LinearStrand) -> str:
+    return _json({
+        "m": ls.m,
+        "k": ls.k,
+        "support_end": ls.support_end,
+        "values": [{"i": i, "value": str(v)}
+                   for i, v in enumerate(ls.values, start=1)],
+    })
+
+
+def _linear_strand_csv(ls: closed_form.LinearStrand) -> str:
+    lines = ["i,betti"]
+    for i, v in enumerate(ls.values, start=1):
+        lines.append(f"{i},{v}")
+    return "\n".join(lines) + "\n"
+
+
+def _betti_table_json(t: hochster.BettiTable) -> str:
+    """Schema: {"char": c, "entries": [{"i": .., "j": .., "value": "<decimal>"}]}.
+    Values are decimal strings; they routinely exceed 2^53."""
+    return _json({
+        "char": t.field_char,
+        "entries": [
+            {"i": i, "j": j, "value": str(v)}
+            for (i, j), v in sorted(t.entries.items())
+        ],
+    })
+
+
+def _betti_table_triangle(t: hochster.BettiTable) -> str:
+    """Betti diagram in the Macaulay2 layout: column i, row j - i, "." for
+    a zero entry, each column as wide as its widest cell."""
+    cols = range(hochster.pd_of(t) + 1)
+    totals = [sum(v for (i, _), v in t.entries.items() if i == c) for c in cols]
+    rows = [("", [str(c) for c in cols]), ("total: ", [str(v) for v in totals])]
+    rows += [(f"{d}: ", [str(t.entries.get((c, c + d), ".")) for c in cols])
+             for d in range(hochster.reg_of(t) + 1)]
+    widths = [max(len(cells[c]) for _, cells in rows) for c in cols]
+    lines = [label.rjust(7) + " ".join(cell.rjust(w) for cell, w in zip(cells, widths))
+             for label, cells in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _render_report(report: bounds_mod.BoundReport, output: str) -> str:
+    """A bound report as text, or as JSON with every bound a decimal string."""
+    if output == "json":
+        return _json({
+            "invariant": report.invariant,
+            "params": report.params,
+            "lower": str(report.lower),
+            "upper": str(report.upper),
+            "exact": None if report.exact is None else str(report.exact),
+            "certificates": [{"kind": c.kind, "payload": c.payload,
+                              "checks": dict(sorted(c.checks))}
+                             for c in report.certificates],
+            "anchors": list(report.anchors),
+        })
+    params = ", ".join(f"{k}={v}" for k, v in sorted(report.params.items()))
+    lines = [f"invariant : {report.invariant}",
+             f"params    : {params}",
+             f"lower     : {report.lower}",
+             f"upper     : {report.upper}",
+             f"exact     : {'-' if report.exact is None else report.exact}"]
+    for cert in report.certificates:
+        checks = ", ".join(f"{name}={'ok' if ok else 'FAIL'}"
+                           for name, ok in sorted(cert.checks))
+        lines.append(f"certificate {cert.kind}: {checks}")
+    lines += [f"  - {a}" for a in report.anchors]
+    return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# commands: each returns (exit code, stdout text)
+# ---------------------------------------------------------------------------
+
+
+def cmd_info(args) -> tuple[int, str]:
     # Closed forms: C(m,k) vertices per side, each of degree C(m-k,k).
     check_mk(args.m, args.k)
     n_left = binom(args.m, args.k)
@@ -115,139 +201,105 @@ def cmd_info(args) -> int:
         "ladder": ladder,
     }
     if args.output == "json":
-        print(json.dumps(data, indent=2, sort_keys=True))
-    else:
-        print(f"H({args.m},{args.k}): bipartite Kneser graph")
-        print(f"  vertices : {data['vertices']} ({n_left} per side)")
-        print(f"  edges    : {data['edges']}")
-        print(f"  regular degree : {degree}")
-        print(f"  ladder (m = 2k): {'yes' if ladder else 'no'}")
-    return 0
+        return 0, _json(data)
+    return 0, (f"H({args.m},{args.k}): bipartite Kneser graph\n"
+               f"  vertices : {data['vertices']} ({n_left} per side)\n"
+               f"  edges    : {data['edges']}\n"
+               f"  regular degree : {degree}\n"
+               f"  ladder (m = 2k): {'yes' if ladder else 'no'}\n")
 
 
-def cmd_betti_linear(args) -> int:
+def cmd_betti_linear(args) -> tuple[int, str]:
     if args.verify and args.output == "csv":
         raise ValueError("--output csv is not available with --verify")
     guards = _guards_from(args)
     strand = closed_form.linear_strand(args.m, args.k, args.i_max)
     if not args.verify:
         if args.output == "json":
-            print(closed_form.linear_strand_to_json(strand))
-        elif args.output == "csv":
-            print(closed_form.linear_strand_to_csv(strand), end="")
-        else:
-            print(f"linear strand of H({args.m},{args.k}), i = 1..{args.i_max}")
-            for i, v in enumerate(strand.values, start=1):
-                print(f"  beta_{{{i},{i + 1}}} = {v}")
-            print(f"  support ends at i = {strand.support_end}")
-        return 0
+            return 0, _linear_strand_json(strand)
+        if args.output == "csv":
+            return 0, _linear_strand_csv(strand)
+        lines = [f"linear strand of H({args.m},{args.k}), i = 1..{args.i_max}"]
+        lines += [f"  beta_{{{i},{i + 1}}} = {v}"
+                  for i, v in enumerate(strand.values, start=1)]
+        lines.append(f"  support ends at i = {strand.support_end}")
+        return 0, "\n".join(lines) + "\n"
     g = kneser.build(args.m, args.k, guards).graph
     rows = []
-    ok = True
     for i, v in enumerate(strand.values, start=1):
         oracle = hochster.linear_strand_oracle(g, i, guards=guards)
-        match = oracle == v
-        ok = ok and match
-        rows.append((i, v, oracle, match))
+        rows.append((i, v, oracle, oracle == v))
+    ok = all(match for *_, match in rows)
     if args.output == "json":
-        payload = {
+        text = _json({
             "m": args.m,
             "k": args.k,
             "rows": [{"i": i, "formula": str(v), "oracle": str(o),
                       "match": mt} for i, v, o, mt in rows],
             "verified": ok,
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        })
     else:
-        print(f"linear strand of H({args.m},{args.k}) with oracle verification")
-        for i, v, o, mt in rows:
-            status = "ok" if mt else "MISMATCH"
-            print(f"  i={i}: formula {v}  oracle {o}  {status}")
-        print("verified" if ok else "VERIFICATION FAILED")
-    return 0 if ok else 1
+        lines = [f"linear strand of H({args.m},{args.k}) with oracle verification"]
+        lines += [f"  i={i}: formula {v}  oracle {o}  {'ok' if mt else 'MISMATCH'}"
+                  for i, v, o, mt in rows]
+        lines.append("verified" if ok else "VERIFICATION FAILED")
+        text = "\n".join(lines) + "\n"
+    return (0 if ok else 1), text
 
 
-def cmd_betti_table(args) -> int:
+def cmd_betti_table(args) -> tuple[int, str]:
     guards = _guards_from(args)
-
-    def produce() -> str:
-        g = kneser.build(args.m, args.k, guards).graph
-        table = hochster.full_betti_oracle(g, field_char=args.char, guards=guards)
-        if args.output == "json":
-            return hochster.betti_table_to_json(table) + "\n"
-        return (f"Betti table of R/I(H({args.m},{args.k})), characteristic {args.char}\n"
-                f"{hochster.betti_table_triangle(table)}"
-                f"pd  = {hochster.pd_of(table)}\n"
-                f"reg = {hochster.reg_of(table)}\n")
-
-    return _cached(args, produce)
+    g = kneser.build(args.m, args.k, guards).graph
+    table = hochster.full_betti_oracle(g, field_char=args.char, guards=guards)
+    if args.output == "json":
+        return 0, _betti_table_json(table)
+    return 0, (f"Betti table of R/I(H({args.m},{args.k})), characteristic {args.char}\n"
+               f"{_betti_table_triangle(table)}"
+               f"pd  = {hochster.pd_of(table)}\n"
+               f"reg = {hochster.reg_of(table)}\n")
 
 
-def _render_report(report: bounds_mod.BoundReport, output: str) -> str:
-    if output == "json":
-        return report.to_json() + "\n"
-    params = ", ".join(f"{k}={v}" for k, v in sorted(report.params.items()))
-    lines = [f"invariant : {report.invariant}",
-             f"params    : {params}",
-             f"lower     : {report.lower}",
-             f"upper     : {report.upper}",
-             f"exact     : {'-' if report.exact is None else report.exact}"]
-    for cert in report.certificates:
-        checks = ", ".join(f"{name}={'ok' if ok else 'FAIL'}"
-                           for name, ok in sorted(cert.checks))
-        lines.append(f"certificate {cert.kind}: {checks}")
-    lines += [f"  - {a}" for a in report.anchors]
-    return "\n".join(lines) + "\n"
-
-
-def cmd_bounds(args) -> int:
+def cmd_bounds(args) -> tuple[int, str]:
     if args.invariant == "reg":
         report = bounds_mod.reg_bounds(args.m, args.k)
     elif args.invariant == "pd":
         report = bounds_mod.pd_bounds(args.m, args.k)
     else:
         report = bounds_mod.reg_power_bounds(args.m, args.k, args.p)
-    print(_render_report(report, args.output), end="")
-    return 0
+    return 0, _render_report(report, args.output)
 
 
-def cmd_certify(args) -> int:
+def cmd_certify(args) -> tuple[int, str]:
     guards = _guards_from(args)
-
-    def produce() -> str:
-        s = _parse_subset(args.s, args.m)
-        q = _parse_subset(args.q, args.m)
-        if args.kind == "matching":
-            report = bounds_mod.certify_induced_matching(args.m, args.k, s,
-                                                         guards=guards)
-        elif args.kind == "cochord":
-            variant = (bounds_mod.DOUBLE_STAR_VARIANT
-                       if args.variant == "double-stars"
-                       else bounds_mod.STAR_VARIANT)
-            report = bounds_mod.certify_cochordal_cover(args.m, args.k, variant,
-                                                        t=args.t, guards=guards)
-        elif args.kind == "domination":
-            report = bounds_mod.certify_domination(args.m, args.k, s, args.j,
-                                                   guards=guards)
-        else:
-            report = bounds_mod.certify_gamma_demand(args.m, args.k, q, s,
+    s = _parse_subset(args.s, args.m)
+    q = _parse_subset(args.q, args.m)
+    if args.kind == "matching":
+        report = bounds_mod.certify_induced_matching(args.m, args.k, s,
                                                      guards=guards)
-        return _render_report(report, args.output)
+    elif args.kind == "cochord":
+        variant = (bounds_mod.DOUBLE_STAR_VARIANT
+                   if args.variant == "double-stars"
+                   else bounds_mod.STAR_VARIANT)
+        report = bounds_mod.certify_cochordal_cover(args.m, args.k, variant,
+                                                    t=args.t, guards=guards)
+    elif args.kind == "domination":
+        report = bounds_mod.certify_domination(args.m, args.k, s, args.j,
+                                               guards=guards)
+    else:
+        report = bounds_mod.certify_gamma_demand(args.m, args.k, q, s,
+                                                 guards=guards)
+    return 0, _render_report(report, args.output)
 
-    return _cached(args, produce)
 
-
-def cmd_export(args) -> int:
+def cmd_export(args) -> tuple[int, str]:
     kn = kneser.build(args.m, args.k, _guards_from(args))
     if args.format == "m2":
-        print(export.to_macaulay2(kn), end="")
-    elif args.format == "singular":
-        print(export.to_singular(kn), end="")
-    elif args.format == "dot":
-        print(export.to_dot_graph(kn), end="")
-    else:
-        print(export.to_json_graph(kn))
-    return 0
+        return 0, export.to_macaulay2(kn)
+    if args.format == "singular":
+        return 0, export.to_singular(kn)
+    if args.format == "dot":
+        return 0, export.to_dot_graph(kn)
+    return 0, export.to_json_graph(kn) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -326,19 +378,32 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
+def _run(args) -> tuple[int, str]:
+    """(exit code, stdout text) of the chosen subcommand.  A cached
+    subcommand's text is served from the cache when it holds it, and stored
+    there on a miss; both cached subcommands exit 0 or raise."""
+    if args.command not in _CACHED:
+        return args.func(args)
+    _guards_from(args)  # a malformed guard variable is refused on a hit too
+    text, path = _cache_fetch(args)
+    if text is None:
+        _, text = args.func(args)
+        _cache_store(path, text)
+    return 0, text
+
+
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.func(args)
-    except GuardExceeded as exc:
+        code, text = _run(args)
+    except (GuardExceeded, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, GuardExceeded) else 2
+    print(text, end="")
+    return code
 
 
 if __name__ == "__main__":

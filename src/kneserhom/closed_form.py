@@ -12,7 +12,6 @@ this path shares nothing with the brute-force oracle.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -72,20 +71,3 @@ def linear_strand(m: int, k: int, i_max: int) -> LinearStrand:
     values = tuple(_strand(m, k, i_max))
     return LinearStrand(m, k, values)
 
-
-def linear_strand_to_json(ls: LinearStrand) -> str:
-    payload = {
-        "m": ls.m,
-        "k": ls.k,
-        "support_end": ls.support_end,
-        "values": [{"i": i, "value": str(v)}
-                   for i, v in enumerate(ls.values, start=1)],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def linear_strand_to_csv(ls: LinearStrand) -> str:
-    lines = ["i,betti"]
-    for i, v in enumerate(ls.values, start=1):
-        lines.append(f"{i},{v}")
-    return "\n".join(lines) + "\n"

@@ -35,7 +35,6 @@ entry at index 0 is the (-1)-dimensional homology.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from math import comb, gcd, lcm
 
@@ -456,44 +455,3 @@ def reg_of(t: BettiTable) -> int:
     """Castelnuovo-Mumford regularity: the largest j - i over nonzero entries."""
     return max((j - i for i, j in t.entries), default=0)
 
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def betti_table_to_json(t: BettiTable) -> str:
-    """Schema: {"char": c, "entries": [{"i": .., "j": .., "value": "<decimal>"}]}.
-    Values are decimal strings; they routinely exceed 2^53."""
-    payload = {
-        "char": t.field_char,
-        "entries": [
-            {"i": i, "j": j, "value": str(v)}
-            for (i, j), v in sorted(t.entries.items())
-        ],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def betti_table_triangle(t: BettiTable) -> str:
-    """Betti diagram in the Macaulay2 layout: column i, row j - i."""
-    pd = pd_of(t)
-    reg = reg_of(t)
-    cols = list(range(pd + 1))
-    totals = [sum(v for (i, _), v in t.entries.items() if i == c) for c in cols]
-    grid = []
-    for d in range(reg + 1):
-        grid.append([t.entries.get((c, c + d)) for c in cols])
-    widths = []
-    for c in cols:
-        cells = [str(c), str(totals[c])] + [str(grid[d][c]) for d in range(reg + 1)
-                                            if grid[d][c] is not None]
-        widths.append(max(len(s) for s in cells))
-    head_label = " " * 7
-    lines = [head_label + " ".join(str(c).rjust(widths[c]) for c in cols)]
-    lines.append("total: " + " ".join(str(totals[c]).rjust(widths[c]) for c in cols))
-    for d in range(reg + 1):
-        row = [("." if grid[d][c] is None else str(grid[d][c])).rjust(widths[c])
-               for c in cols]
-        lines.append(f"{d}: ".rjust(7) + " ".join(row))
-    return "\n".join(lines) + "\n"

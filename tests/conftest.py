@@ -33,6 +33,17 @@ def kn52() -> KneserGraph:
     return build(5, 2)
 
 
+# Small graphs shared by the test modules.
+
+
+def cycle_graph(n: int) -> Graph:
+    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def complete_graph(n: int) -> Graph:
+    return Graph.from_edges(n, list(itertools.combinations(range(n), 2)))
+
+
 # Betti tables of R/I for small graphs, frozen from the exhaustive
 # Hochster-formula oracle over GF(2) and re-checked in characteristic 0.
 FROZEN_TABLES = {

@@ -23,6 +23,7 @@ from kneserhom.bounds import (
     reg_power_bounds,
     tau_of,
 )
+from kneserhom.cli import _render_report
 from kneserhom.combinatorics import binom, mask_of
 from kneserhom.config import GuardExceeded, Guards
 from kneserhom.graphs import Graph, bit_indices
@@ -30,11 +31,7 @@ from kneserhom.hochster import full_betti_oracle, pd_of, reg_of
 from kneserhom.kneser import build, gamma_demand_family
 
 from conftest import (FROZEN_TABLES, CountingGuards, brute_gamma,
-                      brute_independent_domination)
-
-
-def cycle_graph(n: int) -> Graph:
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+                      brute_independent_domination, cycle_graph)
 
 
 @st.composite
@@ -412,12 +409,12 @@ def test_bound_report_invariants() -> None:
 
 def test_bound_report_json_schema() -> None:
     r = certify_cochordal_cover(4, 2, "stars")
-    data = json.loads(r.to_json())
+    data = json.loads(_render_report(r, "json"))
     assert sorted(data) == ["anchors", "certificates", "exact", "invariant",
                             "lower", "params", "upper"]
     assert data["lower"] == "6" and data["upper"] == "6" and data["exact"] == "6"
     assert data["certificates"][0]["checks"]["covers_all_edges"] is True
     r = pd_bounds(5, 2)
-    data = json.loads(r.to_json())
+    data = json.loads(_render_report(r, "json"))
     assert data["exact"] is None
     assert data["lower"] == "14" and data["upper"] == "16"

@@ -193,6 +193,18 @@ def test_cache_hit_does_not_check_the_guards(capsys, tmp_path) -> None:
     assert "max_faces" in err
 
 
+def test_malformed_guard_variable_exits_2_on_a_hit(capsys, tmp_path,
+                                                    monkeypatch) -> None:
+    # A hit checks no guard, but a guard variable that is no integer is a
+    # parameter error, hit or miss.
+    argv = ("certify", "5", "2", "--kind", "gamma", "--cache-dir", str(tmp_path))
+    assert run(capsys, *argv)[0] == 0
+    monkeypatch.setenv("KNESERHOM_MAX_FACES", "many")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "KNESERHOM_MAX_FACES must be an integer" in err
+
+
 def test_bounds_reg(capsys) -> None:
     code, out, _ = run(capsys, "bounds", "5", "2", "--invariant", "reg",
                        "--output", "json")
@@ -337,6 +349,44 @@ def test_cache_store_renames_into_place(capsys, tmp_path, monkeypatch) -> None:
     [(src, dst)] = calls
     assert src.parent == dst.parent == tmp_path and src != dst
     assert list(tmp_path.iterdir()) == [dst]
+
+
+@pytest.mark.parametrize("by_env", [False, True])
+def test_a_file_as_cache_directory_exits_2(capsys, tmp_path, monkeypatch,
+                                           by_env) -> None:
+    # Reading an entry under a file fails with NotADirectoryError, a miss;
+    # the cache cannot then be created, which is refused without a traceback.
+    where = tmp_path / "not-a-directory"
+    where.write_text("")
+    argv = ["betti-table", "3", "1"]
+    if by_env:
+        monkeypatch.setenv("KNESERHOM_CACHE_DIR", str(where))
+    else:
+        argv += ["--cache-dir", str(where)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write to the cache directory")
+    assert err.count("\n") == 1
+    assert where.read_text() == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("betti-table", "3", "1"),
+    ("certify", "5", "2", "--kind", "gamma", "--output", "json"),
+])
+def test_a_directory_as_cache_entry_exits_2(capsys, tmp_path, argv) -> None:
+    # Reading the entry fails with IsADirectoryError, a miss; the rename
+    # over it fails, which is refused, and no temporary file is left.
+    cached = (*argv, "--cache-dir", str(tmp_path))
+    run(capsys, *cached)
+    [entry] = tmp_path.iterdir()
+    entry.unlink()
+    entry.mkdir()
+    code, out, err = run(capsys, *cached)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write to the cache directory")
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [entry] and entry.is_dir()
 
 
 @pytest.mark.parametrize("argv", [

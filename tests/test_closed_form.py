@@ -4,13 +4,8 @@ import json
 
 import pytest
 
-from kneserhom.closed_form import (
-    LinearStrand,
-    betti_linear,
-    linear_strand,
-    linear_strand_to_csv,
-    linear_strand_to_json,
-)
+from kneserhom.cli import _linear_strand_csv, _linear_strand_json
+from kneserhom.closed_form import LinearStrand, betti_linear, linear_strand
 from kneserhom.combinatorics import binom
 from kneserhom.hochster import linear_strand_oracle
 from kneserhom.kneser import build
@@ -74,7 +69,7 @@ def test_linear_strand_container() -> None:
 
 def test_json_emission() -> None:
     ls = linear_strand(5, 2, 4)
-    data = json.loads(linear_strand_to_json(ls))
+    data = json.loads(_linear_strand_json(ls))
     assert data["m"] == 5 and data["k"] == 2
     assert data["support_end"] == 3
     assert data["values"] == [
@@ -86,7 +81,7 @@ def test_json_emission() -> None:
 
 
 def test_csv_emission() -> None:
-    out = linear_strand_to_csv(linear_strand(5, 2, 3))
+    out = _linear_strand_csv(linear_strand(5, 2, 3))
     assert out == "i,betti\n1,30\n2,60\n3,20\n"
 
 

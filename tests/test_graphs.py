@@ -22,11 +22,7 @@ from kneserhom.graphs import (
 from kneserhom.export import to_dot_graph
 from kneserhom.kneser import build
 
-from conftest import CountingGuards
-
-
-def cycle_graph(n: int) -> Graph:
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+from conftest import CountingGuards, complete_graph, cycle_graph
 
 
 def path_graph(n: int) -> Graph:
@@ -35,10 +31,6 @@ def path_graph(n: int) -> Graph:
 
 def star_graph(leaves: int) -> Graph:
     return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
-
-
-def complete_graph(n: int) -> Graph:
-    return Graph.from_edges(n, list(itertools.combinations(range(n), 2)))
 
 
 @st.composite

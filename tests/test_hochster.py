@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from kneserhom import hochster, morse
 from kneserhom.combinatorics import binom
+from kneserhom.cli import _betti_table_json, _betti_table_triangle
 from kneserhom.config import GuardExceeded, Guards
 from kneserhom.graphs import Graph, complement, induced
 from kneserhom.hochster import (
@@ -19,8 +20,6 @@ from kneserhom.hochster import (
     _boundary_columns,
     _cone_marks,
     _rank,
-    betti_table_to_json,
-    betti_table_triangle,
     enumerate_faces,
     full_betti_oracle,
     linear_strand_oracle,
@@ -31,19 +30,11 @@ from kneserhom.hochster import (
 )
 from kneserhom.kneser import build
 
-from conftest import FROZEN_TABLES
-
-
-def cycle_graph(n: int) -> Graph:
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+from conftest import FROZEN_TABLES, complete_graph, cycle_graph
 
 
 def empty_graph(n: int) -> Graph:
     return Graph(n, (0,) * n)
-
-
-def complete_graph(n: int) -> Graph:
-    return Graph.from_edges(n, list(itertools.combinations(range(n), 2)))
 
 
 @st.composite
@@ -450,7 +441,7 @@ def test_betti_table_validation() -> None:
 
 def test_betti_table_json_round_trip() -> None:
     t = full_betti_oracle(build(3, 1).graph)
-    text = betti_table_to_json(t)
+    text = _betti_table_json(t)
     data = json.loads(text)
     assert {(e["i"], e["j"]): int(e["value"]) for e in data["entries"]} == t.entries
     assert data["char"] == t.field_char
@@ -461,7 +452,7 @@ def test_betti_table_json_round_trip() -> None:
 def test_betti_table_json_big_values_survive() -> None:
     big = 10 ** 40 + 7
     t = BettiTable(n=4, field_char=0, entries={(1, 2): big})
-    data = json.loads(betti_table_to_json(t))
+    data = json.loads(_betti_table_json(t))
     assert data["entries"] == [{"i": 1, "j": 2, "value": str(big)}]
     assert data["char"] == 0
 
@@ -475,4 +466,4 @@ def test_betti_table_triangle_golden(kn21) -> None:
         "    1: . 2 .\n"
         "    2: . . 1\n"
     )
-    assert betti_table_triangle(t) == expected
+    assert _betti_table_triangle(t) == expected

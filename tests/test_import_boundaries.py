@@ -43,6 +43,17 @@ def package_imports(module: str) -> set[str]:
     return out
 
 
+def absolute_imports(path: Path) -> set[str]:
+    """Top-level names of the absolute imports of one source file."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            out |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            out.add(node.module.split(".")[0])
+    return out
+
+
 def reachable_imports(module: str) -> set[str]:
     seen, todo = set(), [module]
     while todo:
@@ -94,15 +105,14 @@ def test_source_imports_only_the_standard_library() -> None:
     # pyproject.toml declares no runtime dependency; networkx and sympy are
     # test-only cross-checks and must stay out of the package.
     allowed = sys.stdlib_module_names | {"kneserhom"}
-    outside = set()
-    for path in sorted(PACKAGE_DIR.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and not node.level:
-                names = [node.module]
-            else:
-                continue
-            outside |= {(path.name, name) for name in names
-                        if name.split(".")[0] not in allowed}
+    outside = {(path.name, name) for path in sorted(PACKAGE_DIR.glob("*.py"))
+               for name in absolute_imports(path) if name not in allowed}
     assert not outside, sorted(outside)
+
+
+def test_only_cli_imports_json() -> None:
+    # cli writes every output form; the math modules return values and
+    # leave their serialization to it.
+    importers = {path.stem for path in PACKAGE_DIR.glob("*.py")
+                 if "json" in absolute_imports(path)}
+    assert importers == {"cli"}
