@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kneserhom import hochster, morse
-from kneserhom.combinatorics import binom
 from kneserhom.cli import _betti_table_json, _betti_table_triangle
+from kneserhom.combinatorics import binom
 from kneserhom.config import GuardExceeded, Guards
 from kneserhom.graphs import Graph, complement, induced
 from kneserhom.hochster import (
