@@ -63,22 +63,25 @@ def _cache_fetch(args):
     return None, path
 
 
+def _cache_error(path: Path, exc: OSError) -> ValueError:
+    """A cache that cannot be created or written is a parameter error."""
+    return ValueError(f"cannot write to the cache directory {path.parent}: {exc}")
+
+
 def _cache_store(path: Path | None, text: str) -> None:
     """Write a sibling file and rename it over the entry, so a reader sees
-    the old entry or the new one, never a partial write.  A cache that
-    cannot be created or written is a parameter error."""
+    the old entry or the new one, never a partial write.  The entry's
+    directory was made before the computation."""
     if path is None:
         return
     tmp = path.with_suffix(f".{os.getpid()}.tmp")
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
         tmp.write_text(json.dumps({"sha256": _digest(text), "stdout": text}))
         os.replace(tmp, path)
     except OSError as exc:
         if tmp.is_file():
             tmp.unlink()
-        raise ValueError(f"cannot write to the cache directory "
-                         f"{path.parent}: {exc}") from exc
+        raise _cache_error(path, exc) from exc
 
 
 def _parse_subset(raw: str | None, m: int) -> int | None:
@@ -381,12 +384,19 @@ def _parser() -> argparse.ArgumentParser:
 def _run(args) -> tuple[int, str]:
     """(exit code, stdout text) of the chosen subcommand.  A cached
     subcommand's text is served from the cache when it holds it, and stored
-    there on a miss; both cached subcommands exit 0 or raise."""
+    there on a miss; both cached subcommands exit 0 or raise.  On a miss the
+    entry's directory is made first, so that an unusable cache directory is
+    refused before the computation, not after it."""
     if args.command not in _CACHED:
         return args.func(args)
     _guards_from(args)  # a malformed guard variable is refused on a hit too
     text, path = _cache_fetch(args)
     if text is None:
+        if path is not None:
+            try:
+                path.parent.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise _cache_error(path, exc) from exc
         _, text = args.func(args)
         _cache_store(path, text)
     return 0, text
@@ -397,11 +407,21 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
+    # Exact values and the needs a guard refuses can run past the
+    # interpreter's int-to-str limit (4,300 digits where
+    # sys.set_int_max_str_digits exists); lift it while the command runs,
+    # and give it back to the caller after.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         code, text = _run(args)
     except (GuardExceeded, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, GuardExceeded) else 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
     print(text, end="")
     return code
 

@@ -30,12 +30,20 @@ def _strand(m: int, k: int, i_max: int) -> list[int]:
         C(C(t,k), r) * C(m, t) * n_exact(m, s, m-k, t)
 
     from two tables built once: left[r-1][t-k] = C(C(t,k), r) * C(m, t) and
-    right[s-1][t-k] = n_exact(m, s, m-k, t), for r, s <= i_max."""
+    right[s-1][t-k] = n_exact(m, s, m-k, t), for r, s <= min(i_max, D) with
+    D = C(m-k, k).  A term with r > D or s > D is zero: C(C(t,k), r) = 0 once
+    r > C(t,k), and C(t,k) <= D for t <= m-k; n_exact(m, s, m-k, t) = 0 once
+    s > C(m-t, k), and C(m-t, k) <= D for t >= k.  So beta_{i,i+1} = 0 for
+    i >= 2D, and the work stops growing with i_max there."""
     ts = range(k, m - k + 1)
-    left = [[binom(binom(t, k), r) * binom(m, t) for t in ts] for r in range(1, i_max + 1)]
-    right = [[_n_exact_cached(m, s, m - k, t) for t in ts] for s in range(1, i_max + 1)]
-    return [sum(a * b for r in range(i) for a, b in zip(left[r], right[i - 1 - r]))
-            for i in range(1, i_max + 1)]
+    rows = min(i_max, binom(m - k, k))
+    left = [[binom(binom(t, k), r) * binom(m, t) for t in ts] for r in range(1, rows + 1)]
+    right = [[_n_exact_cached(m, s, m - k, t) for t in ts] for s in range(1, rows + 1)]
+    last = min(i_max, 2 * rows - 1)
+    values = [sum(a * b for r in range(max(0, i - rows), min(i, rows))
+                  for a, b in zip(left[r], right[i - 1 - r]))
+              for i in range(1, last + 1)]
+    return values + [0] * (i_max - last)
 
 
 def betti_linear(m: int, k: int, i: int) -> int:

@@ -4,8 +4,9 @@ import itertools
 
 import pytest
 
-from kneserhom import Graph, KneserGraph, build
 from kneserhom.config import Guards
+from kneserhom.graphs import Graph
+from kneserhom.kneser import KneserGraph, build
 
 
 @pytest.fixture(scope="session")

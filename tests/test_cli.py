@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 import kneserhom.cli
 import kneserhom.hochster
 from kneserhom.cli import main
+from kneserhom.combinatorics import binom
 from kneserhom.kneser import build
 
 
@@ -53,6 +55,36 @@ def test_info_has_no_cap_on_m(capsys) -> None:
     code, out, _ = run(capsys, "info", "63", "1", "--output", "json")
     assert code == 0
     assert json.loads(out)["vertices"] == 126
+
+
+def decimal(n: int) -> str:
+    """str(n) past the interpreter's int-to-str digit limit, which is lifted
+    for this call only, so that main is left to lift it for itself."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return str(n)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_values_past_the_int_str_digit_limit(capsys) -> None:
+    # C(40000, 20000) has 12,041 digits; by default Python (3.10.7 and
+    # later) converts at most 4,300 to a string.  The refusal and both values print in full,
+    # and main gives the caller's limit back.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    c = binom(40000, 20000)
+    code, out, err = run(capsys, "info", "40000", "20000")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: build H(40000,20000): max_subsets limit "
+                          f"exceeded (needs {decimal(2 * c)}, limit ")
+    code, out, _ = run(capsys, "betti-linear", "40000", "20000", "--i-max", "1")
+    assert code == 0 and f"  beta_{{1,2}} = {decimal(c)}\n" in out
+    code, out, _ = run(capsys, "bounds", "40000", "20000", "--invariant", "pd")
+    assert code == 0 and f"exact     : {decimal(c)}\n" in out
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 def test_subset_element_above_m_exits_2(capsys) -> None:
@@ -355,10 +387,13 @@ def test_cache_store_renames_into_place(capsys, tmp_path, monkeypatch) -> None:
 def test_a_file_as_cache_directory_exits_2(capsys, tmp_path, monkeypatch,
                                            by_env) -> None:
     # Reading an entry under a file fails with NotADirectoryError, a miss;
-    # the cache cannot then be created, which is refused without a traceback.
+    # the cache cannot then be created, which is refused without a traceback
+    # and before the table is computed.
     where = tmp_path / "not-a-directory"
     where.write_text("")
-    argv = ["betti-table", "3", "1"]
+    monkeypatch.setattr(kneserhom.hochster, "full_betti_oracle",
+                        lambda *a, **kw: pytest.fail("computed before the refusal"))
+    argv = ["betti-table", "5", "2"]
     if by_env:
         monkeypatch.setenv("KNESERHOM_CACHE_DIR", str(where))
     else:

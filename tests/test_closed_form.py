@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from kneserhom import closed_form
 from kneserhom.cli import _linear_strand_csv, _linear_strand_json
 from kneserhom.closed_form import LinearStrand, betti_linear, linear_strand
 from kneserhom.combinatorics import binom
@@ -47,6 +48,28 @@ def test_formula_matches_oracle(m: int, k: int) -> None:
         if binom(g.n, i + 1) > 700_000:
             break
         assert betti_linear(m, k, i) == linear_strand_oracle(g, i), (m, k, i)
+
+
+@pytest.mark.parametrize("m,k", [(5, 2), (6, 2), (7, 3)])
+def test_strand_work_stops_growing_with_i_max(monkeypatch, m: int, k: int) -> None:
+    # Every n_exact(m, s, m-k, t) with s > C(m-k, k) is zero, so the right
+    # table has at most C(m-k, k) rows of m-2k+1 entries, whatever i_max is.
+    calls = []
+    real = closed_form.n_exact
+
+    def counting(*args) -> int:
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(closed_form, "n_exact", counting)
+    d = binom(m - k, k)
+    for i_max in (1, d, 2 * d, 500):
+        closed_form._n_exact_cached.cache_clear()
+        calls.clear()
+        values = linear_strand(m, k, i_max).values
+        assert len(values) == i_max
+        assert all(v == 0 for v in values[2 * d - 1:]), (m, k, i_max)
+        assert len(calls) <= d * (m - 2 * k + 1), (m, k, i_max)
 
 
 def test_param_validation() -> None:

@@ -2,12 +2,15 @@
 the same numbers; their agreement means something only while neither
 imports the other.  The package also declares no runtime dependency, so
 it may import only the standard library.  These tests read the import
-statements of the source.
+statements of the source, and check in a fresh interpreter which modules
+an import loads.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -18,7 +21,7 @@ PACKAGE_DIR = Path(kneserhom.__file__).resolve().parent
 
 def package_imports(module: str) -> set[str]:
     """Modules of the package that module imports directly; "__init__"
-    stands for the package itself, which imports every route."""
+    stands for the package itself, which holds only __version__."""
     tree = ast.parse((PACKAGE_DIR / f"{module}.py").read_text())
     out = set()
     for node in ast.walk(tree):
@@ -83,16 +86,36 @@ def test_hochster_never_reaches_the_formula_route() -> None:
     assert not reached & {"closed_form", "bounds", "__init__"}, reached
 
 
-def test_all_is_exactly_what_init_imports() -> None:
-    # A name deleted from a module must leave __all__ too, and vice versa.
-    tree = ast.parse((PACKAGE_DIR / "__init__.py").read_text())
-    imported = {alias.asname or alias.name for node in tree.body
-                if isinstance(node, ast.ImportFrom) and node.module != "__future__"
-                for alias in node.names}
-    [exported] = [node.value for node in tree.body if isinstance(node, ast.Assign)
-                  and [t.id for t in node.targets] == ["__all__"]]
-    assert set(ast.literal_eval(exported)) == imported
-    assert len(kneserhom.__all__) == len(imported)
+def loaded_modules(statement: str) -> set[str]:
+    """The kneserhom modules a fresh interpreter holds after statement."""
+    code = (f"{statement}\nimport sys\n"
+            "print(*(n for n in sys.modules if n.split('.')[0] == 'kneserhom'))")
+    env = dict(os.environ)
+    package_root = str(PACKAGE_DIR.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env=env, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+def test_package_import_loads_no_module() -> None:
+    assert loaded_modules("import kneserhom") == {"kneserhom"}
+
+
+def test_closed_form_loads_only_combinatorics_and_config() -> None:
+    assert loaded_modules("import kneserhom.closed_form") == {
+        "kneserhom", "kneserhom.closed_form", "kneserhom.combinatorics",
+        "kneserhom.config"}
+
+
+def test_hochster_loads_nothing_of_the_formula_route() -> None:
+    loaded = loaded_modules("import kneserhom.hochster")
+    assert "kneserhom.hochster" in loaded
+    formula = {f"kneserhom.{name}" for name in ("closed_form", "bounds", "cli",
+                                                 "export")}
+    assert not loaded & formula, loaded
 
 
 def test_morse_imports_only_config() -> None:
