@@ -15,6 +15,7 @@ are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -310,7 +311,12 @@ def cmd_export(args) -> tuple[int, str]:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument tree, built on the first `main` call and reused after.
+    It holds no per-call state: `parse_args` returns a fresh namespace and
+    leaves the parser as it was, and argparse looks up sys.stdout,
+    sys.stderr and the terminal width only when it prints."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("m", type=int, help="ground set size")
     common.add_argument("k", type=int, help="subset size (left side)")

@@ -43,9 +43,10 @@ def bit_indices(mask: int) -> tuple[int, ...]:
         raise ValueError(f"mask must be nonnegative, got {mask}")
     out = []
     while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
+        top = mask.bit_length() - 1
+        out.append(top)
+        mask ^= 1 << top
+    out.reverse()
     return tuple(out)
 
 

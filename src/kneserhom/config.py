@@ -36,6 +36,11 @@ DEFAULT_MAX_MATRIX_CELLS = 1_000_000
 DEFAULT_MAX_SEARCH_NODES = 5_000_000
 
 
+def _set_by(guard: str) -> str:
+    """The variable and the flag that set a guard."""
+    return f"{ENV_PREFIX + guard.upper()} or the --{guard.replace('_', '-')} flag"
+
+
 class GuardExceeded(RuntimeError):
     """A configured enumeration limit would be (or was) exceeded."""
 
@@ -43,11 +48,9 @@ class GuardExceeded(RuntimeError):
         self.guard = guard
         self.needed = needed
         self.limit = limit
-        env = ENV_PREFIX + guard.upper()
         super().__init__(
             f"{context}: {guard} limit exceeded (needs {needed}, limit {limit}). "
-            f"If this size is intentional, raise the limit via {env} or the "
-            f"--{guard.replace('_', '-')} flag."
+            f"If this size is intentional, raise the limit via {_set_by(guard)}."
         )
 
 
@@ -59,6 +62,15 @@ class Guards:
     max_faces: int = DEFAULT_MAX_FACES
     max_matrix_cells: int = DEFAULT_MAX_MATRIX_CELLS
     max_search_nodes: int = DEFAULT_MAX_SEARCH_NODES
+
+    def __post_init__(self):
+        # A negative limit would refuse every computation as if it were too
+        # large; it is a bad parameter.  0 stays legal.
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if value < 0:
+                raise ValueError(f"{field.name} must be nonnegative, got "
+                                 f"{value}; set it via {_set_by(field.name)}")
 
     @classmethod
     def from_env(cls, environ=None) -> "Guards":

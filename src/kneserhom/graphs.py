@@ -26,7 +26,10 @@ class Graph:
     """A simple graph on vertices 0 .. n-1, refused at construction unless
     every row is in range, has no self-loop and is mirrored: each edge is
     checked once, from its lower end, and the entry counts of the two
-    triangles must agree (see `__post_init__`)."""
+    triangles must agree (see `__post_init__`).  Each row's higher entries
+    are walked from the top down by bit length, which makes fewer big-int
+    allocations per edge than isolating the lowest bit; a failure names the
+    lowest unmirrored pair (v, u): the lowest v, then the lowest u."""
 
     n: int
     adj: tuple[int, ...]  # adj[v] = bitmask of neighbours of v
@@ -54,12 +57,15 @@ class Graph:
         for v, row in enumerate(adj):
             higher = row >> (v + 1)
             upper += higher.bit_count()
+            bit = 1 << v
             while higher:
-                low = higher & -higher
-                u = v + low.bit_length()
-                if not adj[u] >> v & 1:
+                top = higher.bit_length()
+                if not adj[v + top] & bit:
+                    # The walk goes down; name the row's lowest unmirrored entry.
+                    u = next(u for u in bit_indices(row) if u > v
+                             and not adj[u] & bit)
                     raise ValueError(f"Graph: adjacency not symmetric at ({v},{u})")
-                higher ^= low
+                higher ^= 1 << (top - 1)
         if 2 * upper != sum(row.bit_count() for row in adj):
             v, u = next((v, u) for v, row in enumerate(adj)
                         for u in bit_indices(row & (1 << v) - 1)

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
 import re
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -486,6 +488,48 @@ def test_guard_flag_beats_env(capsys, monkeypatch) -> None:
     monkeypatch.setenv("KNESERHOM_MAX_SUBSETS", "10")
     code, _, _ = run(capsys, "info", "5", "2", "--max-subsets", "1000")
     assert code == 0
+
+
+@pytest.mark.parametrize("argv,env", [
+    (("betti-table", "3", "1", "--max-faces", "-5"), None),
+    (("export", "3", "1", "--format", "dot", "--max-subsets", "-1"), None),
+    (("betti-table", "3", "1"), "-5"),
+])
+def test_negative_guard_limit_exits_2(capsys, monkeypatch, argv, env) -> None:
+    if env is not None:
+        monkeypatch.setenv("KNESERHOM_MAX_FACES", env)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.count("error:") == 1 and err.startswith("error:")
+    assert "must be nonnegative" in err
+
+
+def test_parser_is_built_once(capsys, monkeypatch) -> None:
+    built = []
+
+    def spy(*args, **kwargs):
+        built.append(kwargs.get("prog"))
+        return argparse.ArgumentParser(*args, **kwargs)
+
+    # argparse itself names ArgumentParser in its constructor, so the spy
+    # stands in for it in the cli module's view only.
+    monkeypatch.setattr(kneserhom.cli, "argparse",
+                        SimpleNamespace(ArgumentParser=spy))
+    kneserhom.cli._parser.cache_clear()
+    try:
+        # One call that a guard refuses, then the same request without the
+        # flag: the first call's values must not leak into the second.
+        argv = ("betti-table", "4", "1")
+        code, out, err = run(capsys, *argv, "--max-faces", "5")
+        assert (code, out) == (3, "")
+        assert "max_faces" in err
+        first = len(built)
+        assert first > 0
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and "pd  = 6" in out
+        assert len(built) == first
+    finally:
+        kneserhom.cli._parser.cache_clear()
 
 
 def test_parameter_errors_exit_2(capsys) -> None:

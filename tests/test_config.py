@@ -43,3 +43,16 @@ def test_with_overrides_ignores_none() -> None:
     bumped = g.with_overrides(max_subsets=5, max_faces=None)
     assert bumped.max_subsets == 5
     assert bumped.max_faces == g.max_faces
+
+
+@pytest.mark.parametrize("name", ["max_subsets", "max_faces",
+                                  "max_matrix_cells", "max_search_nodes"])
+def test_negative_limit_is_refused(name: str) -> None:
+    env, flag = "KNESERHOM_" + name.upper(), "--" + name.replace("_", "-")
+    with pytest.raises(ValueError, match=f"{env} or the {flag} flag") as exc:
+        Guards.from_env({env: "-5"})
+    assert f"{name} must be nonnegative, got -5" in str(exc.value)
+    with pytest.raises(ValueError, match=f"{env} or the {flag} flag"):
+        Guards().with_overrides(**{name: -1})
+    # 0 is a limit that refuses any work, not a bad parameter.
+    assert getattr(Guards().with_overrides(**{name: 0}), name) == 0

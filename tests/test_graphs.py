@@ -103,6 +103,10 @@ def test_symmetry_check_cases() -> None:
     # only the mirror test catches it.
     with pytest.raises(ValueError, match=r"not symmetric at \(0,1\)"):
         Graph(3, (0b010, 0, 0b001))
+    # Two unmirrored entries in one row: the walk goes down the row, but the
+    # message names the lowest pair.
+    with pytest.raises(ValueError, match=r"not symmetric at \(0,2\)"):
+        Graph(4, (0b1110, 0b0001, 0, 0))
     # A negative row is refused by the range check before any bit walk.
     with pytest.raises(ValueError, match="mentions vertices >= n"):
         Graph(2, (-1, 0))
