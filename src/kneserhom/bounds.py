@@ -360,17 +360,26 @@ STAR_VARIANT = "stars"
 DOUBLE_STAR_VARIANT = "double_stars"
 
 
-def _subgraph_on_support(g: Graph, edges) -> Graph:
+def _relabelled(edges) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """(s, edges) for the subgraph an edge list spans: its s vertices
+    renumbered 0..s-1 in increasing order, the order of the edges kept."""
     support = sorted({v for e in edges for v in e})
     index = {v: i for i, v in enumerate(support)}
-    return Graph.from_edges(len(support), [(index[u], index[v]) for u, v in edges])
+    return len(support), tuple((index[u], index[v]) for u, v in edges)
 
 
 def certify_cochordal_cover(m: int, k: int, variant: str = STAR_VARIANT,
                             t: int | None = None,
                             guards: Guards = DEFAULT_GUARDS) -> BoundReport:
     """Certified cover of the edge set by co-chordal subgraphs; the member
-    count upper-bounds the regularity."""
+    count upper-bounds the regularity.
+
+    Each distinct relabelled member (`_relabelled`) is checked once, with
+    the validation of `Graph.from_edges` and the MCS and PEO check of
+    `is_cochordal`.  That is exact: equal (s, edges) tuples build the same
+    `Graph`, which has one answer.  All the stars of H(m, k) relabel to one
+    graph, K_1,d with d = C(m-k, k); the double stars of H(9,4) to one to
+    five, by t."""
     kn = build(m, k, guards)
     g = kn.graph
     if variant == STAR_VARIANT:
@@ -387,8 +396,9 @@ def certify_cochordal_cover(m: int, k: int, variant: str = STAR_VARIANT,
     covered = set()
     for member in members:
         covered.update(member)
-    cochordal = all(is_cochordal(_subgraph_on_support(g, member))
-                    for member in members if member)
+    distinct = {_relabelled(member) for member in members if member}
+    cochordal = all(is_cochordal(Graph.from_edges(n, edges))
+                    for n, edges in distinct)
     cert = Certificate(
         kind=kind,
         payload={

@@ -264,6 +264,9 @@ def cmd_betti_table(args) -> tuple[int, str]:
 
 
 def cmd_bounds(args) -> tuple[int, str]:
+    # The formulas enumerate nothing, but a malformed or negative guard is
+    # refused here as it is by every other subcommand.
+    _guards_from(args)
     if args.invariant == "reg":
         report = bounds_mod.reg_bounds(args.m, args.k)
     elif args.invariant == "pd":

@@ -87,16 +87,24 @@ def _mask_images(perm, n: int) -> array:
 
 
 def automorphisms(adj) -> list[tuple[int, ...]]:
-    """The candidate generators p with adj[p[v]] == p(adj[v]) for every v,
-    each once: the candidates of two (m, k) with the same vertex count, or
-    of one small (m, k), may coincide, and `orbits` holds an image array per
-    generator."""
-    # Image rows are built from their set bits: on the sparse H(m, k) that
-    # costs less than the whole-mask image arrays `orbits` needs.
+    """The candidate generators p that are permutations of the vertices
+    with adj[p[v]] == p(adj[v]) for every v, each once: the candidates of
+    two (m, k) with the same vertex count, or of one small (m, k), may
+    coincide, and `orbits` holds an image array per generator.
+
+    A candidate is checked on the entries (v, u) of adj, both triangles,
+    so that no symmetry of adj is assumed: p is kept iff it permutes
+    0..n-1 and maps every entry to an entry.  That is enough.  A
+    permutation is injective on pairs, so it maps the finite entry set into
+    itself injectively, hence onto itself; and that is adj[p[v]] ==
+    p(adj[v]) for every v."""
+    n = len(adj)
+    entries = [(v, u) for v, row in enumerate(adj) for u in bit_indices(row)]
+    identity = list(range(n))
     return list(dict.fromkeys(
-        perm for perm in candidate_generators(len(adj))
-        if all(adj[perm[v]] == sum(1 << perm[u] for u in bit_indices(row))
-               for v, row in enumerate(adj))))
+        perm for perm in candidate_generators(n)
+        if sorted(perm) == identity
+        and all(adj[perm[v]] >> perm[u] & 1 for v, u in entries)))
 
 
 def _closure(size: int, maps, seen: bytearray | None = None):

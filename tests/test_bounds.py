@@ -353,6 +353,43 @@ def test_certify_cochordal_cover_variants() -> None:
         certify_cochordal_cover(5, 2, "nonsense")
 
 
+@pytest.mark.parametrize("variant,t,calls", [("stars", None, 1),
+                                               ("double_stars", 5, 5),
+                                               ("double_stars", 1, 1)])
+def test_cochordal_cover_checks_each_distinct_member_once(monkeypatch, variant,
+                                                          t, calls) -> None:
+    # H(9,4) has 126 stars and 70 double stars; after relabelling, the
+    # stars are all one graph, and the double stars are one to five by t.
+    import kneserhom.bounds as bounds_module
+    checked = []
+    real = bounds_module.is_cochordal
+    monkeypatch.setattr(bounds_module, "is_cochordal",
+                        lambda g: checked.append(g) or real(g))
+    r = certify_cochordal_cover(9, 4, variant, t=t)
+    assert len(checked) == len(set(checked)) == calls
+    assert r.upper == (126 if variant == "stars" else 70)
+    assert report_checks(r) == {"covers_all_edges": True,
+                                "members_cochordal": True}
+
+
+def test_cochordal_cover_refuses_a_2k2_member(monkeypatch) -> None:
+    # Two disjoint edges from two stars form a 2K2 member, whose complement
+    # is a 4-cycle: the cover still covers, but one member is no co-chordal
+    # graph, and it relabels to no star.
+    import kneserhom.bounds as bounds_module
+    real = bounds_module.star_cover
+
+    def with_2k2(kn):
+        stars = real(kn)
+        e = stars[0][0]
+        f = next(f for f in stars[1] if not set(e) & set(f))
+        return (*stars, (e, f))
+
+    monkeypatch.setattr(bounds_module, "star_cover", with_2k2)
+    with pytest.raises(CertificateError, match=r"failed checks: members_cochordal$"):
+        certify_cochordal_cover(5, 2)
+
+
 def test_certify_domination_h52() -> None:
     r = certify_domination(5, 2, s=mask_of([1]), j=2)
     assert r.upper == 6

@@ -504,6 +504,24 @@ def test_negative_guard_limit_exits_2(capsys, monkeypatch, argv, env) -> None:
     assert "must be nonnegative" in err
 
 
+@pytest.mark.parametrize("argv,env,message", [
+    (("bounds", "5", "2", "--invariant", "reg", "--max-subsets", "-1"), None,
+     "must be nonnegative"),
+    (("bounds", "5", "2", "--invariant", "pd"), "many",
+     "KNESERHOM_MAX_FACES must be an integer"),
+])
+def test_bounds_refuses_a_bad_guard(capsys, monkeypatch, argv, env,
+                                    message) -> None:
+    # bounds enumerates nothing, but takes the guard flags and variables
+    # with the meaning every other subcommand gives them.
+    if env is not None:
+        monkeypatch.setenv("KNESERHOM_MAX_FACES", env)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.count("error:") == 1 and err.startswith("error:")
+    assert message in err
+
+
 def test_parser_is_built_once(capsys, monkeypatch) -> None:
     built = []
 

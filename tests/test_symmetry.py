@@ -244,6 +244,57 @@ def test_candidates_need_a_kneser_vertex_count() -> None:
     assert len(candidate_generators(240)) == 9
 
 
+@pytest.mark.parametrize("proposed", [(0, 1, 0, 1), (0, 0, 2, 2), (2, 2, 0, 0)])
+def test_a_map_that_is_no_permutation_is_rejected(monkeypatch, proposed) -> None:
+    # On H(2,1), with edges 0--2 and 1--3, (0, 0, 2, 2) and (2, 2, 0, 0)
+    # fold the two edges onto one: every row's image is a row, yet neither
+    # map is a permutation.  (0, 1, 0, 1) sends the row {2} of 0 to {0}.
+    monkeypatch.setattr("kneserhom.symmetry.candidate_generators",
+                        lambda n: [proposed])
+    assert automorphisms(build(2, 1).graph.adj) == []
+
+
+@st.composite
+def graphs_and_maps(draw):
+    """A graph on at most 8 vertices, made invariant under a drawn
+    permutation q by closing its edges under q, and a list of proposed maps:
+    q, random permutations, random maps of 0..n-1 into itself, and repeats
+    of these."""
+    n = draw(st.integers(0, 8))
+    q = tuple(draw(st.permutations(range(n))))
+    edges = set()
+    for e in itertools.combinations(range(n), 2):
+        if draw(st.booleans()):
+            edges |= edge_orbits([e], q)
+    maps = [q, *draw(st.lists(st.permutations(range(n)).map(tuple), max_size=4))]
+    if n:
+        maps += draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * n), max_size=4))
+    maps += draw(st.lists(st.sampled_from(maps), max_size=3))
+    return Graph.from_edges(n, sorted(edges)), draw(st.permutations(maps))
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs_and_maps())
+@example((Graph.from_edges(4, [(0, 2), (1, 3)]), [(0, 0, 2, 2), (1, 0, 3, 2)]))
+def test_automorphisms_keep_exactly_the_row_preserving_permutations(gm) -> None:
+    g, maps = gm
+    n = g.n
+
+    def row_image(p, mask: int) -> int:
+        out = 0
+        for v in range(n):
+            if mask >> v & 1:
+                out |= 1 << p[v]
+        return out
+
+    expected = list(dict.fromkeys(
+        p for p in maps if sorted(p) == list(range(n))
+        and all(g.adj[p[v]] == row_image(p, g.adj[v]) for v in range(n))))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("kneserhom.symmetry.candidate_generators", lambda size: maps)
+        assert automorphisms(g.adj) == expected
+
+
 def test_non_automorphism_is_rejected() -> None:
     kn = build(4, 2)
     a = kn.left_id(0b0011)
