@@ -25,7 +25,7 @@ from pathlib import Path
 from . import __version__
 from . import bounds as bounds_mod
 from . import closed_form, export, hochster, kneser
-from .combinatorics import binom, check_mk, mask_of
+from .combinatorics import binom, mask_of
 from .config import ENV_PREFIX, GUARD_NAMES, GuardExceeded, Guards
 
 
@@ -45,6 +45,18 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+@functools.cache
+def _source_digest() -> str:
+    """SHA-256 of the package's source files, read on the first cache
+    lookup of a process: part of every cache key, so that an entry written
+    by other code is a miss."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        source = path.read_bytes()
+        digest.update(f"{path.name}\0{len(source)}\0".encode() + source)
+    return digest.hexdigest()
+
+
 def _cache_fetch(args):
     """(text, path) on a hit.  An entry that is missing, unreadable, or whose
     text does not match its SHA-256 is a miss: (None, path), and the caller
@@ -54,6 +66,7 @@ def _cache_fetch(args):
         return None, None
     key = {k: v for k, v in vars(args).items() if k not in _NOT_IN_KEY}
     key["version"] = __version__
+    key["source"] = _source_digest()
     path = Path(root) / f"{_digest(json.dumps(key, sort_keys=True))}.json"
     try:
         entry = json.loads(path.read_text())
@@ -190,10 +203,7 @@ def _render_report(report: bounds_mod.BoundReport, output: str) -> str:
 
 def cmd_info(args) -> tuple[int, str]:
     # Closed forms: C(m,k) vertices per side, each of degree C(m-k,k).
-    check_mk(args.m, args.k)
-    n_left = binom(args.m, args.k)
-    _guards_from(args).check("max_subsets", 2 * n_left,
-                             f"build H({args.m},{args.k})")
+    n_left = kneser.side_size(args.m, args.k, _guards_from(args))
     degree = binom(args.m - args.k, args.k)
     ladder = args.m == 2 * args.k
     data = {

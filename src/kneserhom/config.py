@@ -44,12 +44,14 @@ def _set_by(guard: str) -> str:
 class GuardExceeded(RuntimeError):
     """A configured enumeration limit would be (or was) exceeded."""
 
-    def __init__(self, guard: str, needed: int, limit: int, context: str):
+    def __init__(self, guard: str, needed: int, limit: int, context: str,
+                 at_least: bool = False):
         self.guard = guard
         self.needed = needed
         self.limit = limit
         super().__init__(
-            f"{context}: {guard} limit exceeded (needs {needed}, limit {limit}). "
+            f"{context}: {guard} limit exceeded (needs {'at least ' if at_least else ''}"
+            f"{needed}, limit {limit}). "
             f"If this size is intentional, raise the limit via {_set_by(guard)}."
         )
 

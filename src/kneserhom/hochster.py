@@ -6,9 +6,9 @@ subsets W of size j, of dim H~_{j-i-1} of the independence complex of G
 restricted to W.  This module computes that sum from the slices themselves.
 Both sums use the graph's verified automorphisms (see `symmetry`): an
 automorphism maps a slice onto an isomorphic one, with equal homology.  The
-full table takes one W per orbit on vertex subsets, weights it by the
-orbit's size, and gets each slice's homology from the critical cells of a
-matching tree and their Morse complex (`morse`), without listing faces.
+full table takes one W per orbit of `symmetry.subset_orbits`, weights it by
+the orbit's size, and gets each slice's homology from the critical cells of
+a matching tree and their Morse complex (`morse`), without listing faces.
 The linear strand walks, for each vertex orbit, the (i+1)-subsets that hold
 the orbit's smallest vertex r and no vertex of an earlier orbit, and weights
 each by the orbit's size over the number of the orbit's vertices it holds.
@@ -42,7 +42,7 @@ from . import morse
 from .combinatorics import bit_indices
 from .config import DEFAULT_GUARDS, Guards
 from .graphs import Graph
-from .symmetry import automorphisms, orbit_roots, orbits, root_stabiliser_orbits
+from .symmetry import orbit_roots, root_stabiliser_orbits, subset_orbits
 
 
 def _is_prime(p: int) -> bool:
@@ -351,36 +351,6 @@ def reduced_homology_dims(sl: ComplexSlice, field_char: int = 2,
 # ---------------------------------------------------------------------------
 
 
-_UNPACK = bytes.maketrans(b"01", b"\0\1")
-
-
-def _cone_marks(adj) -> bytearray:
-    """c[w] = 1 iff G[w] has an isolated vertex, for every w < 2^n.  Then
-    Ind(G[w]) is a cone over that vertex and has no reduced homology, and
-    since an automorphism maps the isolated vertices of G[w] onto those of
-    its image, the marked masks are a union of orbits.
-
-    Column v is the 2^n-bit integer whose bit w is bit v of w: 2^v zeros,
-    then 2^v ones, doubled up to 2^n bits.  w is a cone iff some column v
-    holds w and no column of a neighbour of v does."""
-    size = 1 << len(adj)
-    cols = []
-    for v in range(len(adj)):
-        col, period = ((1 << (1 << v)) - 1) << (1 << v), 2 << v
-        while period < size:
-            col |= col << period
-            period <<= 1
-        cols.append(col)
-    cones = 0
-    for v, row in enumerate(adj):
-        near = 0
-        for u in bit_indices(row):
-            near |= cols[u]
-        cones |= cols[v] & ~near
-    del cols  # n * 2^n bits, freed before the 2^n bytes are unpacked
-    return bytearray(format(cones, f"0{size}b").encode().translate(_UNPACK))[::-1]
-
-
 @dataclass(frozen=True)
 class BettiTable:
     """Graded Betti numbers beta_{i,j} of R/I(G); absent entries are zero."""
@@ -400,13 +370,12 @@ class BettiTable:
 def full_betti_oracle(g: Graph, field_char: int = 2,
                       guards: Guards = DEFAULT_GUARDS) -> BettiTable:
     """The whole Betti table by Hochster's formula, summed over the orbits
-    of the verified automorphisms of g on its vertex subsets.
+    of verified automorphisms of g on its vertex subsets.
 
     An automorphism s maps G[W] isomorphically onto G[s(W)], so the two
-    slices have the same reduced homology and the same size; each orbit's
-    smallest W stands for all of it, weighted by the orbit's size.  The
-    generators are those of `symmetry.automorphisms`, each checked against
-    g's adjacency; with none, every W is its own orbit.
+    slices have the same reduced homology and the same size; one W of each
+    orbit of `symmetry.subset_orbits` stands for all of it, weighted by the
+    orbit's size.  With no verified generator, every W is its own orbit.
 
     Each representative's reduced homology comes from `morse.homology`,
     which lists no face and builds no boundary matrix.  It takes the
@@ -417,8 +386,8 @@ def full_betti_oracle(g: Graph, field_char: int = 2,
     one in size its maps are zero, and dim H~_{c-1} is the number of
     critical c-cells over every field; elsewhere the Morse matrices are
     ranked over the field.  The references are in `morse`.  The walk
-    leaves out the orbits of cones, the W where G[W] has an isolated
-    vertex (see `_cone_marks`): they add nothing.
+    leaves out the cones, the W where G[W] has an isolated vertex: they add
+    nothing.
 
     Guards: 2^n against max_subsets; the tree nodes and flow cells of all
     slices built together against max_faces, as they are built; each Morse
@@ -437,7 +406,7 @@ def full_betti_oracle(g: Graph, field_char: int = 2,
 
     top = homology(full)
     entries: dict = {}
-    for w, size in orbits(n, automorphisms(adj), _cone_marks(adj)):
+    for w, size in subset_orbits(adj):
         h = top if w == full else homology(w)
         j = w.bit_count()
         for c, hd in h.items():

@@ -24,7 +24,7 @@ from operator import and_
 
 from .combinatorics import (binom, bit_indices, check_mk, elements_of,
                             kneser_sides, mask_of, subset_str)
-from .config import DEFAULT_GUARDS, Guards
+from .config import DEFAULT_GUARDS, GuardExceeded, Guards
 from .graphs import Graph, Side
 
 Edge = tuple[int, int]
@@ -73,12 +73,29 @@ class KneserGraph:
         return (1 << self.n_left) - 1
 
 
+def side_size(m: int, k: int, guards: Guards = DEFAULT_GUARDS) -> int:
+    """C(m, k), the vertex count of one side of H(m, k), once the
+    max_subsets guard has let its 2 C(m, k) vertices through.  C(m, j)
+    grows with j up to m/2, and m >= 2k, so C(m, 1), C(m, 2), ..., C(m, k)
+    are built up one factor at a time, and a refusal comes at the first j
+    with 2 C(m, j) past the limit: it names that true lower bound, and
+    costs no more than computing it."""
+    check_mk(m, k)
+    size = 1
+    for j in range(1, k):
+        size = size * (m - j + 1) // j
+        if 2 * size > guards.max_subsets:
+            raise GuardExceeded("max_subsets", 2 * size, guards.max_subsets,
+                                f"build H({m},{k})", at_least=True)
+    size = size * (m - k + 1) // k
+    guards.check("max_subsets", 2 * size, f"build H({m},{k})")
+    return size
+
+
 def build(m: int, k: int, guards: Guards = DEFAULT_GUARDS) -> KneserGraph:
     """Construct H(m, k).  Requires 1 <= k, 2k <= m; the max_subsets guard
-    bounds the size."""
-    check_mk(m, k)
-    n_left = binom(m, k)
-    guards.check("max_subsets", 2 * n_left, f"build H({m},{k})")
+    bounds the size (see `side_size`)."""
+    n_left = side_size(m, k, guards)
     left, right = sides = kneser_sides(m, k)
     # A is inside B iff B holds every element of A, iff A misses every
     # element outside B.  holds[e] marks the right ids whose subset holds

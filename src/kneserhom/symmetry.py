@@ -14,18 +14,17 @@ generator, and then every vertex, and every vertex subset, is its own
 orbit.  H(m, k) itself has one vertex orbit.
 
 One closure walk finds the orbits on vertices, on ordered vertex pairs and
-on vertex subsets.  The linear strand oracle and the i and tau searches
-start at the roots of `orbit_roots`; the strand oracle also reads, from
-`root_stabiliser_orbits`, the orbits of each root's stabiliser, which the
-pair orbits give; the full Betti table sums over `orbits`.
+on subsets of the right ids.  The linear strand oracle and the i and tau
+searches start at the roots of `orbit_roots`; the strand oracle also reads,
+from `root_stabiliser_orbits`, the orbits of each root's stabiliser, which
+the pair orbits give.  The full Betti table sums over `subset_orbits`: the
+orbits on the subsets of the left ids, then, for each, the orbits of its
+Schreier generators on the subsets of the right ids.
 
 Permutations are tuples p of vertex ids, p[v] the image of v.
 """
 
 from __future__ import annotations
-
-import sys
-from array import array
 
 from .combinatorics import binom, bit_indices, kneser_sides
 
@@ -66,31 +65,11 @@ def candidate_generators(n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _mask_images(perm, n: int) -> array:
-    """images[w] is the image under perm of the mask w, for every w < 2^n,
-    built by doubling: the masks below 2^(b+1) are those below 2^b, then
-    the same with bit b set, whose image gains bit perm[b].  The new half is
-    the old one read as one integer, OR-ed with bit perm[b] repeated in
-    every slot; no slot carries, so that is exact.  It goes 2^14 slots at a
-    time, to keep the integers small.  Unsigned ints, not Python ints, keep
-    the array at 4 bytes a mask; a mask past 32 bits, which would need 2^33
-    marks in `orbits`, overflows loudly."""
-    images = array("I", [0])
-    for b in range(n):
-        size = len(images)
-        chunk = min(size, 1 << 14)
-        bit = int.from_bytes(array("I", [1 << perm[b]]) * chunk, sys.byteorder)
-        for start in range(0, size, chunk):
-            old = int.from_bytes(images[start:start + chunk], sys.byteorder)
-            images.frombytes((old | bit).to_bytes(chunk * images.itemsize, sys.byteorder))
-    return images
-
-
 def automorphisms(adj) -> list[tuple[int, ...]]:
     """The candidate generators p that are permutations of the vertices
     with adj[p[v]] == p(adj[v]) for every v, each once: the candidates of
     two (m, k) with the same vertex count, or of one small (m, k), may
-    coincide, and `orbits` holds an image array per generator.
+    coincide, and every walk pays for each generator it is handed.
 
     A candidate is checked on the entries (v, u) of adj, both triangles,
     so that no symmetry of adj is assumed: p is kept iff it permutes
@@ -107,15 +86,11 @@ def automorphisms(adj) -> list[tuple[int, ...]]:
         and all(adj[perm[v]] >> perm[u] & 1 for v, u in entries)))
 
 
-def _closure(size: int, maps, seen: bytearray | None = None):
+def _closure(size: int, maps):
     """Yield each orbit of the group the maps span on the points 0..size-1,
     as a list that starts at its smallest point, in increasing order of that
-    point.  Each map is a sequence: maps[j][x] is the image of x.  The
-    points already marked in seen, a bytearray of size marks, must be a
-    union of orbits; they are left out, and seen is marked as the walk
-    goes."""
-    if seen is None:
-        seen = bytearray(size)
+    point.  Each map is a sequence: maps[j][x] is the image of x."""
+    seen = bytearray(size)
     v = seen.find(0)
     while v >= 0:
         seen[v] = 1
@@ -189,13 +164,65 @@ def root_stabiliser_orbits(adj) -> list[tuple[int, int, int, list[int]]]:
     return out
 
 
-def orbits(n: int, generators, marks: bytearray | None = None):
-    """Yield (smallest mask, orbit size) for every orbit of the group the
-    generators span on the 2^n vertex subsets, in increasing order of the
-    smallest mask.  Holds a bytearray of 2^n marks and, for each generator,
-    an array of the images of all 2^n masks while it runs.  The masks
-    already marked in marks, if it is given, must be a union of orbits and
-    are left out; marks is then the walk's own bytearray."""
-    tables = [_mask_images(perm, n) for perm in generators]
-    for orbit in _closure(1 << n, tables, marks):
-        yield orbit[0], len(orbit)
+def _unions(rows) -> list[int]:
+    """u[x] is the OR of rows[j] over the set bits j of x, for every
+    x < 2^len(rows), built by doubling."""
+    u = [0]
+    for row in rows:
+        u += [x | row for x in u]
+    return u
+
+
+def subset_orbits(adj):
+    """Yield (w, weight) for one vertex subset w of each orbit of the
+    verified automorphisms that keep the ids below h = n // 2 there, with no
+    isolated vertex in G[w], weight the orbit's size; return the number of
+    subsets left out as cones.  Weights and cones sum to 2^n.
+
+    W is L + R, L its ids below h.  The orbits on the 2^h masks L are walked
+    with u_L mapping the smallest mask L0 of its orbit onto L; (L, R) maps
+    by u_L^-1 onto (L0, R'), and the u_{sL}^-1 s u_L for every L and
+    generator s span Stab(L0) (Schreier's lemma).  So the sum over L0's
+    orbit is its size times the sum over the orbits of Stab(L0) on the R',
+    which is exact for any subgroup: a smaller one cuts finer orbits.  An R'
+    with no cone holds each right id that is the only neighbour of a vertex
+    of L0, and no right id with no neighbour in L0 or on the right; the walk
+    is over the subsets of the others, sets that Stab(L0) keeps."""
+    n = len(adj)
+    h = n // 2
+    gens = [p for p in automorphisms(adj) if all(x < h for x in p[:h])]
+    moves = [(_unions([1 << x for x in p[:h]]), p) for p in gens]
+    right = (1 << n) - (1 << h)
+    seen = bytearray(1 << h)
+    cones = 0
+    for l0 in range(1 << h):
+        if seen[l0]:
+            continue
+        seen[l0] = 1
+        forced = sum({adj[v] for v in bit_indices(l0) if adj[v].bit_count() == 1}) & right
+        near = 0
+        for v in bit_indices(l0 | forced):
+            near |= adj[v]
+        ids = [v for v in range(h, n) if adj[v] & (l0 | right) and not forced >> v & 1]
+        # coset[x]: u(ids) for a u with u(l0) = x, and where in it each id is
+        orbit, coset, stab = [l0], {l0: (ids, {v: j for j, v in enumerate(ids)})}, set()
+        for x in orbit:
+            for images, s in moves:
+                y, su = images[x], [s[v] for v in coset[x][0]]
+                if y in coset:
+                    stab.add(tuple(map(coset[y][1].__getitem__, su)))
+                else:
+                    seen[y] = 1
+                    orbit.append(y)
+                    coset[y] = su, dict(zip(su, range(len(su))))
+        stab.discard(tuple(range(len(ids))))
+        maps = [_unions([1 << j for j in g]) for g in stab]
+        spread, cover = _unions([1 << v for v in ids]), _unions([adj[v] for v in ids])
+        cones += len(orbit) * ((1 << n - h) - len(spread))
+        for part in _closure(len(spread), maps):
+            w = l0 | forced | spread[part[0]]
+            if w & ~(near | cover[part[0]]):
+                cones += len(orbit) * len(part)
+            else:
+                yield w, len(orbit) * len(part)
+    return cones

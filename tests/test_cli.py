@@ -5,7 +5,10 @@ import hashlib
 import json
 import os
 import re
+import shutil
+import subprocess
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -74,19 +77,33 @@ def decimal(n: int) -> str:
 
 def test_values_past_the_int_str_digit_limit(capsys) -> None:
     # C(40000, 20000) has 12,041 digits; by default Python (3.10.7 and
-    # later) converts at most 4,300 to a string.  The refusal and both values print in full,
-    # and main gives the caller's limit back.
+    # later) converts at most 4,300 to a string.  Both values print in full,
+    # and main gives the caller's limit back.  The refusal comes before
+    # C(40000, 20000) is computed, at the lower bound 2 C(40000, 2).
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     c = binom(40000, 20000)
     code, out, err = run(capsys, "info", "40000", "20000")
     assert (code, out) == (3, "")
     assert err.startswith("error: build H(40000,20000): max_subsets limit "
-                          f"exceeded (needs {decimal(2 * c)}, limit ")
+                          f"exceeded (needs at least {2 * binom(40000, 2)}, limit ")
     code, out, _ = run(capsys, "betti-linear", "40000", "20000", "--i-max", "1")
     assert code == 0 and f"  beta_{{1,2}} = {decimal(c)}\n" in out
     code, out, _ = run(capsys, "bounds", "40000", "20000", "--invariant", "pd")
     assert code == 0 and f"exact     : {decimal(c)}\n" in out
     assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+
+def test_info_refuses_before_computing_the_binomial(capsys) -> None:
+    # C(800000, 400000) has 240,821 digits and takes seconds to compute;
+    # the refusal names 2 C(800000, 1), a lower bound past the limit.
+    start = time.perf_counter()
+    code, out, err = run(capsys, "info", "800000", "400000")
+    assert time.perf_counter() - start < 0.1
+    assert (code, out) == (3, "")
+    assert err == ("error: build H(800000,400000): max_subsets limit exceeded "
+                   "(needs at least 1600000, limit 1200000). If this size is "
+                   "intentional, raise the limit via KNESERHOM_MAX_SUBSETS or "
+                   "the --max-subsets flag.\n")
 
 
 def test_subset_element_above_m_exits_2(capsys) -> None:
@@ -366,6 +383,34 @@ def test_cache_key_includes_package_version(capsys, tmp_path,
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
     assert len(list(tmp_path.iterdir())) == 2
+
+
+def test_cache_key_includes_the_source(tmp_path) -> None:
+    # A copy of the package with one byte of cli.py changed misses the
+    # entry the unchanged copy wrote, and prints its own text.  The source
+    # digest is taken once per process, so each run is a fresh interpreter.
+    src = tmp_path / "src"
+    shutil.copytree(Path(kneserhom.cli.__file__).parent, src / "kneserhom",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    cache = tmp_path / "cache"
+    env = {k: v for k, v in os.environ.items() if not k.startswith("KNESERHOM_")}
+    env.update(PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+
+    def betti_table() -> str:
+        proc = subprocess.run([sys.executable, "-m", "kneserhom.cli", "betti-table", "3", "1",
+                               "--cache-dir", str(cache)], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        return proc.stdout
+
+    fresh = betti_table()
+    assert betti_table() == fresh and len(list(cache.iterdir())) == 1
+    cli = src / "kneserhom" / "cli.py"
+    source = cli.read_bytes()
+    assert source.count(b'"pd  = ') == 1
+    cli.write_bytes(source.replace(b'"pd  = ', b'"pd  : '))
+    assert betti_table() == fresh.replace("pd  = ", "pd  : ")
+    assert len(list(cache.iterdir())) == 2
 
 
 def test_cache_store_renames_into_place(capsys, tmp_path, monkeypatch) -> None:

@@ -18,7 +18,6 @@ from kneserhom.hochster import (
     BettiTable,
     ComplexSlice,
     _boundary_columns,
-    _cone_marks,
     _rank,
     enumerate_faces,
     full_betti_oracle,
@@ -29,6 +28,7 @@ from kneserhom.hochster import (
     reg_of,
 )
 from kneserhom.kneser import build
+from kneserhom.symmetry import subset_orbits
 
 from conftest import FROZEN_TABLES, complete_graph, cycle_graph
 
@@ -327,8 +327,7 @@ def test_cone_vertex_kills_homology() -> None:
 
 @st.composite
 def small_graphs(draw, max_n: int = 10) -> Graph:
-    """A graph on 0 to max_n vertices.  Below 3 vertices, its 2^n cone
-    marks fill less than a byte of bits."""
+    """A graph on 0 to max_n vertices."""
     n = draw(st.integers(0, max_n))
     pairs = list(itertools.combinations(range(n), 2))
     return Graph.from_edges(n, [e for e in pairs if draw(st.booleans())])
@@ -337,11 +336,20 @@ def small_graphs(draw, max_n: int = 10) -> Graph:
 @given(small_graphs())
 @settings(max_examples=120, deadline=None)
 def test_cone_marks_are_the_slices_with_an_isolated_vertex(g: Graph) -> None:
-    marks = _cone_marks(g.adj)
-    assert len(marks) == 1 << g.n
-    for w in range(1 << g.n):
-        isolated = any(w >> v & 1 and not g.adj[v] & w for v in range(g.n))
-        assert marks[w] == isolated, (g.adj, w)
+    # The walk yields no slice with an isolated vertex, and counts the rest
+    # of the 2^n subsets as cones: exactly those with an isolated vertex.
+    walk, weights = subset_orbits(g.adj), 0
+    while True:
+        try:
+            w, weight = next(walk)
+        except StopIteration as done:
+            cones = done.value
+            break
+        assert all(g.adj[v] & w for v in range(g.n) if w >> v & 1), (g.adj, w)
+        weights += weight
+    isolated = sum(any(w >> v & 1 and not g.adj[v] & w for v in range(g.n))
+                   for w in range(1 << g.n))
+    assert (cones, weights) == (isolated, (1 << g.n) - isolated), g.adj
 
 
 def test_full_betti_builds_no_cone_slice(monkeypatch) -> None:
@@ -349,15 +357,16 @@ def test_full_betti_builds_no_cone_slice(monkeypatch) -> None:
     # edges are the only slices with no isolated vertex, and its edge ideal
     # is a complete intersection of 6 quadrics.
     g = build(4, 2).graph
-    marks = _cone_marks(g.adj)
-    assert marks.count(0) == 64
     built = []
     real = morse.homology
     monkeypatch.setattr(morse, "homology",
                         lambda adj, w, *rest: built.append(w) or real(adj, w, *rest))
     table = full_betti_oracle(g).entries
     assert table == {(i, 2 * i): binom(6, i) for i in range(7)}
-    assert built and not any(marks[w] for w in built)
+    assert built
+    for w in built:
+        assert all(g.adj[v] & w for v in range(g.n) if w >> v & 1), w
+        assert all(w >> v & 1 == w >> u & 1 for v, u in g.edges()), w
 
 
 @pytest.mark.parametrize("m,k", sorted(FROZEN_TABLES))
@@ -415,7 +424,7 @@ def test_full_betti_builds_the_full_complex_first(monkeypatch) -> None:
     def no_walk(*args):
         raise AssertionError("the orbit walk started")
 
-    monkeypatch.setattr("kneserhom.hochster.orbits", no_walk)
+    monkeypatch.setattr("kneserhom.hochster.subset_orbits", no_walk)
     with pytest.raises(GuardExceeded) as exc:
         full_betti_oracle(build(5, 2).graph, guards=Guards(max_faces=41))
     assert exc.value.guard == "max_faces"

@@ -19,6 +19,7 @@ from kneserhom.kneser import (
     double_star_cover,
     e_s_family,
     gamma_demand_family,
+    side_size,
     star_cover,
 )
 
@@ -47,6 +48,33 @@ def test_build_rejects_bad_params() -> None:
     assert build(70, 1).graph.n == 140
     with pytest.raises(GuardExceeded):
         build(70, 1, Guards(max_subsets=139))
+
+
+@pytest.mark.parametrize("m,k", [(m, k) for k in range(1, 5) for m in range(2 * k, 13)])
+def test_side_size_passes_exactly_c_m_k_or_refuses_at_a_lower_bound(m: int, k: int) -> None:
+    # Every limit near 2 C(m, j), j <= k: a pass returns C(m, k) itself; a
+    # refusal names a need past the limit and no larger than 2 C(m, k),
+    # "at least" unless it is 2 C(m, k) itself.
+    c = binom(m, k)
+    for limit in {max(0, 2 * binom(m, j) + d) for j in range(k + 1) for d in (-1, 0, 1)}:
+        guards = Guards(max_subsets=limit)
+        if 2 * c <= limit:
+            assert side_size(m, k, guards) == c
+            continue
+        with pytest.raises(GuardExceeded) as exc:
+            side_size(m, k, guards)
+        assert limit < exc.value.needed <= 2 * c
+        assert ("needs at least" in str(exc.value)) == (exc.value.needed < 2 * c)
+
+
+def test_build_refuses_before_computing_c_m_k() -> None:
+    # C(800000, 400000) takes seconds; 2 C(800000, 1) is already past the
+    # limit.
+    with pytest.raises(GuardExceeded) as exc:
+        build(800_000, 400_000)
+    assert exc.value.needed == 1_600_000
+    assert "build H(800000,400000): max_subsets limit exceeded (needs at least 1600000," \
+        in str(exc.value)
 
 
 def test_edges_are_containments(kn52: KneserGraph) -> None:

@@ -15,7 +15,9 @@ with orbits of sizes 1 and 2, with two orbits that interleave in id
 order, on graphs that keep one generator of a Kneser graph, and on dense
 and sparse random graphs.  All but the random graphs also check the
 searches of `bounds`, which start at one vertex per orbit, against the
-brute forces of `conftest`.
+brute forces of `conftest`.  The two-level walk of `subset_orbits` is
+checked against the orbits of every vertex subset, found by closure, and
+its weights and cones against 2^n.
 """
 
 from __future__ import annotations
@@ -27,15 +29,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kneserhom import symmetry
 from kneserhom.bounds import independent_domination_number, tau_of
 from kneserhom.combinatorics import binom
 from kneserhom.graphs import Graph
-from kneserhom.hochster import (_cone_marks, enumerate_faces, full_betti_oracle,
-                                linear_strand_oracle, reduced_homology_dims)
+from kneserhom.hochster import (enumerate_faces, full_betti_oracle, linear_strand_oracle,
+                                reduced_homology_dims)
 from kneserhom.kneser import build
-from kneserhom.symmetry import (_closure, _kneser_parameters, _mask_images,
-                                automorphisms, candidate_generators, orbit_roots,
-                                orbits, root_stabiliser_orbits)
+from kneserhom.symmetry import (_closure, _kneser_parameters, _unions, automorphisms,
+                                candidate_generators, orbit_roots, root_stabiliser_orbits,
+                                subset_orbits)
 
 from conftest import brute_gamma, brute_independent_domination
 
@@ -196,13 +199,19 @@ def test_table_of_kneser_graph_equals_plain_sum(m: int, char: int) -> None:
     assert full_betti_oracle(g, field_char=char).entries == plain_table(g, char)
 
 
+def mask_images(perm) -> list[int]:
+    """The image under perm of every mask below 2^len(perm), as the walk
+    builds them: the OR of the images of the mask's bits, by doubling."""
+    return _unions([1 << x for x in perm])
+
+
 @pytest.mark.parametrize("n", [10, 12])
 def test_mask_images_match_bit_by_bit_images(n: int) -> None:
     # n = 10 is H(5,1); n = 12 is H(4,2), and H(6,1) too
     candidates = candidate_generators(n)
     assert candidates
     for perm in candidates:
-        images = _mask_images(perm, n)
+        images = mask_images(perm)
         assert len(images) == 1 << n
         assert all(images[w] == image(perm, w) for w in range(1 << n))
 
@@ -211,14 +220,9 @@ def test_mask_images_match_bit_by_bit_images(n: int) -> None:
 @given(st.integers(0, 12).flatmap(lambda n: st.permutations(range(n))))
 def test_mask_images_of_any_permutation_match_bit_by_bit_images(perm) -> None:
     n = len(perm)
-    images = _mask_images(perm, n)
+    images = mask_images(perm)
     assert len(images) == 1 << n
     assert all(images[w] == image(perm, w) for w in range(1 << n))
-
-
-def test_mask_images_past_32_bits_overflow() -> None:
-    with pytest.raises(OverflowError):
-        _mask_images((1, 32), 2)
 
 
 @pytest.mark.parametrize("m,k", [(2, 1), (3, 1), (5, 1), (7, 1), (4, 2), (6, 3)])
@@ -310,51 +314,6 @@ def test_non_automorphism_is_rejected() -> None:
     assert {transposition[a], transposition[b]} == {a, b}
     assert transposition in kept
     assert cycle not in kept and swap not in kept
-
-
-@pytest.mark.parametrize("m,k", [(2, 1), (3, 1), (4, 1), (6, 1), (4, 2)])
-def test_orbits_match_their_closure(m: int, k: int) -> None:
-    g = build(m, k).graph
-    gens = automorphisms(g.adj)
-    reps = list(orbits(g.n, gens))
-    assert sum(size for _, size in reps) == 1 << g.n
-    assert [w for w, _ in reps] == sorted(w for w, _ in reps)
-    for w, size in reps:
-        orbit, todo = {w}, [w]
-        while todo:
-            x = todo.pop()
-            for p in gens:
-                y = image(p, x)
-                if y not in orbit:
-                    orbit.add(y)
-                    todo.append(y)
-        assert (min(orbit), len(orbit)) == (w, size)
-
-
-@pytest.mark.parametrize("g", [build(m, 1).graph for m in range(2, 7)]
-                         + [build(4, 2).graph, relabelled(build(4, 2).graph)])
-def test_orbits_leave_out_premarked_orbits(g: Graph) -> None:
-    # The cone marks are a union of orbits: an automorphism keeps the
-    # isolated vertices of a slice.
-    gens = automorphisms(g.adj)
-    marks = _cone_marks(g.adj)
-    every = list(_closure(1 << g.n, [_mask_images(p, g.n) for p in gens]))
-    assert all(len({marks[w] for w in orbit}) == 1 for orbit in every)
-    kept = [(w, size) for w, size in orbits(g.n, gens) if not marks[w]]
-    assert list(orbits(g.n, gens, bytearray(marks))) == kept
-    assert sum(size for _, size in kept) == marks.count(0)
-
-
-def test_trivial_group_gives_singleton_orbits() -> None:
-    assert list(orbits(3, [])) == [(w, 1) for w in range(8)]
-
-
-def test_h71_has_the_burnside_count_of_orbits() -> None:
-    # S_7 x Z_2 on the subsets of the 14 vertices of H(7,1): 70 orbits
-    g = build(7, 1).graph
-    reps = list(orbits(g.n, automorphisms(g.adj)))
-    assert len(reps) == 70
-    assert sum(size for _, size in reps) == 1 << 14
 
 
 @pytest.mark.parametrize("m,k", [(m, 1) for m in range(2, 7)] + [(4, 2), (5, 2)])
@@ -594,3 +553,136 @@ def test_domination_search_needs_a_later_orbit() -> None:
     assert orbit_sets(g) == [(0, 1, 4, 5), (2, 3)]
     assert brute_independent_domination(g) == 2
     assert_searches_match_brute_force(g)
+
+
+def walked(g: Graph) -> tuple[list[tuple[int, int]], int]:
+    """The (w, weight) pairs `subset_orbits` yields on g, and the number of
+    cones it returns."""
+    walk, reps = subset_orbits(g.adj), []
+    while True:
+        try:
+            reps.append(next(walk))
+        except StopIteration as done:
+            return reps, done.value
+
+
+def has_isolated_vertex(g: Graph, w: int) -> bool:
+    return any(w >> v & 1 and not g.adj[v] & w for v in range(g.n))
+
+
+def side_preserving(g: Graph) -> list[tuple[int, ...]]:
+    half = g.n // 2
+    return [p for p in automorphisms(g.adj) if all(x < half for x in p[:half])]
+
+
+def check_walk(g: Graph) -> None:
+    reps, cones = walked(g)
+    assert sum(weight for _, weight in reps) + cones == 1 << g.n
+    assert not any(has_isolated_vertex(g, w) for w, _ in reps)
+    assert len({w for w, _ in reps}) == len(reps)
+
+
+KNESER_UP_TO_20 = [(m, k) for k in (1, 2) for m in range(2 * k, 11) if 2 * binom(m, k) <= 20]
+
+
+@pytest.mark.parametrize("m,k", KNESER_UP_TO_20)
+def test_walk_weights_and_cones_sum_to_every_subset(m: int, k: int) -> None:
+    check_walk(build(m, k).graph)
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs_keeping_one_generator())
+def test_walk_on_graphs_keeping_one_generator(gp) -> None:
+    check_walk(gp[0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense_or_sparse_graphs(max_n=12))
+def test_walk_on_graphs_with_no_generator(g: Graph) -> None:
+    check_walk(g)
+
+
+def closure_of_subsets(g: Graph) -> list[set[int]]:
+    """The orbits of g's side-preserving generators on its 2^n vertex
+    subsets, each by closing a subset under the generators."""
+    gens, seen, out = side_preserving(g), set(), []
+    for w0 in range(1 << g.n):
+        if w0 not in seen:
+            orbit, todo = {w0}, [w0]
+            while todo:
+                x = todo.pop()
+                for y in (image(p, x) for p in gens):
+                    if y not in orbit:
+                        orbit.add(y)
+                        todo.append(y)
+            seen |= orbit
+            out.append(orbit)
+    return out
+
+
+@pytest.mark.parametrize("m,k", [(2, 1), (3, 1), (4, 1), (4, 2), (6, 1)])
+def test_orbits_match_their_closure(m: int, k: int) -> None:
+    # The Schreier generators span the whole stabiliser of each L0, so an
+    # orbit with no cone holds exactly one representative, weighted by the
+    # orbit's size.
+    g = build(m, k).graph
+    weight = dict(walked(g)[0])
+    kept = [o for o in closure_of_subsets(g) if not has_isolated_vertex(g, min(o))]
+    for orbit in kept:
+        [w] = orbit & weight.keys()
+        assert weight[w] == len(orbit)
+    assert len(kept) == len(weight)
+
+
+@pytest.mark.parametrize("g", [build(m, 1).graph for m in range(2, 7)]
+                         + [build(4, 2).graph, relabelled(build(4, 2).graph),
+                            without_rung_edge(4, 2), two_paths()])
+def test_orbits_leave_out_premarked_orbits(g: Graph) -> None:
+    # The cones are a union of orbits, since an automorphism keeps the
+    # isolated vertices of a slice: the walk counts each one and yields
+    # none.
+    reps, cones = walked(g)
+    orbits = closure_of_subsets(g)
+    marked = [o for o in orbits if any(has_isolated_vertex(g, w) for w in o)]
+    assert all(has_isolated_vertex(g, w) for o in marked for w in o)
+    assert cones == sum(len(o) for o in marked)
+    assert not any(has_isolated_vertex(g, w) for w, _ in reps)
+
+
+def test_trivial_group_gives_singleton_orbits() -> None:
+    # With no verified generator the walk yields every subset with no
+    # isolated vertex once, of weight 1: the plain sum.
+    g = relabelled(build(3, 1).graph)
+    assert automorphisms(g.adj) == []
+    reps, cones = walked(g)
+    assert sorted(reps) == [(w, 1) for w in range(1 << g.n) if not has_isolated_vertex(g, w)]
+    assert cones == sum(has_isolated_vertex(g, w) for w in range(1 << g.n))
+
+
+def test_h71_has_the_burnside_count_of_orbits() -> None:
+    # S_7 on the pairs of subsets (A, B) of [7] that stand for L and R, the
+    # left vertices {a} and the right ones [7] - {b}: an orbit is a multiset
+    # of 7 of the 4 kinds of element, C(10, 3) = 120 in all.  {a} and
+    # [7] - {b} are adjacent iff a != b, so a pair is a cone iff just one of
+    # A and B is empty, or one is a single element that the other holds:
+    # 27 orbits.
+    reps, cones = walked(build(7, 1).graph)
+    assert len(reps) == 120 - 27
+    assert sum(weight for _, weight in reps) + cones == 1 << 14
+
+
+@pytest.mark.parametrize("m,k", [(3, 1), (4, 1), (4, 2)])
+@pytest.mark.parametrize("char", [2, 3, 0])
+def test_table_without_stabiliser_generators(monkeypatch, m: int, k: int, char: int) -> None:
+    # Any subgroup of Stab(L0) gives the same sum; the trivial one walks
+    # every mask R' of each representative L0 on its own.
+    g = build(m, k).graph
+    table = full_betti_oracle(g, field_char=char)
+    reps = walked(g)[0]
+    real = symmetry._closure
+    monkeypatch.setattr(symmetry, "_closure", lambda size, maps: real(size, []))
+    assert full_betti_oracle(g, field_char=char) == table
+    check_walk(g)
+    # H(4,2) is a matching: each L0 walks one R', the partners of its
+    # vertices, with or without generators
+    assert len(walked(g)[0]) > len(reps) or (m, k) == (4, 2)
