@@ -392,11 +392,13 @@ def _parser() -> argparse.ArgumentParser:
                     required=True)
     sp.set_defaults(func=cmd_export)
 
-    # csv exists only for the unverified linear strand (checked in the command)
+    # csv exists only for the unverified linear strand (checked in the
+    # command); export has --format alone, so --output there is refused
     for name, sp in sub.choices.items():
-        sp.add_argument("--output", default="text", help="output format",
-                        choices=["text", "json", "csv"] if name == "betti-linear"
-                        else ["text", "json"])
+        if name != "export":
+            sp.add_argument("--output", default="text", help="output format",
+                            choices=["text", "json", "csv"] if name == "betti-linear"
+                            else ["text", "json"])
     return p
 
 

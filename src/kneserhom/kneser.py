@@ -10,8 +10,8 @@ in B.  For m = 2k this degenerates to a ladder: C(2k,k) disjoint rungs.
 them on the graph; ids and subsets are read off those stored sides.  Each
 row is the AND of k per-element masks: a left A is adjacent to the right
 sets that hold every element of A, a right B to the left sets that miss
-every element outside B.  The rows go through the `Graph` checks, and the
-edges are read back from the checked adjacency with `Graph.edges()`.
+every element outside B.  Complementing reverses colex order, so the
+elements of the k-subsets, each read once, give the masks of both sides.
 """
 
 from __future__ import annotations
@@ -96,22 +96,22 @@ def build(m: int, k: int, guards: Guards = DEFAULT_GUARDS) -> KneserGraph:
     """Construct H(m, k).  Requires 1 <= k, 2k <= m; the max_subsets guard
     bounds the size (see `side_size`)."""
     n_left = side_size(m, k, guards)
-    left, right = sides = kneser_sides(m, k)
+    sides = kneser_sides(m, k)
     # A is inside B iff B holds every element of A, iff A misses every
-    # element outside B.  holds[e] marks the right ids whose subset holds
-    # e, misses[e] the left ids whose subset misses e; each row is then the
-    # AND of k of them.
-    holds = [0] * m
-    for rb, b in enumerate(right, n_left):
-        for e in bit_indices(b):
-            holds[e] |= 1 << rb
-    misses = [(1 << n_left) - 1] * m
-    for ra, a in enumerate(left):
-        for e in bit_indices(a):
-            misses[e] ^= 1 << ra
-    full = (1 << m) - 1
-    adj = [reduce(and_, [holds[e] for e in bit_indices(a)]) for a in left]
-    adj += [reduce(and_, [misses[e] for e in bit_indices(full ^ b)]) for b in right]
+    # element outside B.  misses[e] marks the left ids whose subset misses
+    # e, holds[e] the right ids whose subset holds e.  Right id n_left + j
+    # is the complement of left[-1 - j]: it holds e iff left[-1 - j] misses
+    # e, and the elements outside it are elems[-1 - j].
+    elems = [bit_indices(a) for a in sides[0]]
+    full, top = (1 << n_left) - 1, 2 * n_left - 1
+    misses, holds = [full] * m, [full << n_left] * m
+    for ra, es in enumerate(elems):
+        bit, rbit = 1 << ra, 1 << (top - ra)
+        for e in es:
+            misses[e] ^= bit
+            holds[e] ^= rbit
+    adj = [reduce(and_, [holds[e] for e in es]) for es in elems]
+    adj += [reduce(and_, [misses[e] for e in es]) for es in reversed(elems)]
     g = Graph(2 * n_left, tuple(adj))
     degree = binom(m - k, k)
     assert all(row.bit_count() == degree for row in g.adj), \

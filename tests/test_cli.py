@@ -498,6 +498,18 @@ def test_export_formats(capsys, fmt: str, needle: str) -> None:
     assert needle in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("export", "2", "1", "--format", "json", "--output", "json"),
+    ("export", "5", "2", "--format", "m2", "--output", "json"),
+    ("export", "5", "2", "--format", "dot", "--output", "text"),
+])
+def test_export_takes_no_output_flag(capsys, argv) -> None:
+    # --format alone picks the text; an --output flag is an unknown argument
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --output" in err
+
+
 # sha256 of the stdout of `export 12 5` in each format, as the exports
 # printed it when they were written from the edge list of the build.  The
 # golden file covers only `export 5 2`.

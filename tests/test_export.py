@@ -1,6 +1,6 @@
-"""The exports of H(m, k).  They are written from `Graph.edges()` of the
-built adjacency; the tests at the end check them against texts written here
-by `json.dumps` and a plain DOT writer over the same `Graph.edges()`, which
+"""The exports of H(m, k).  They read each left row of the built adjacency
+once; the tests at the end check them against texts written here by
+`json.dumps` and a plain DOT writer over `Graph.edges()`, which
 `tests/test_graphs.py` checks against a brute-force pair list, as
 `tests/test_kneser.py` checks the adjacency against the definition of
 H(m, k).

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import kneserhom
-from kneserhom.combinatorics import binom, elements_of, mask_of
+from kneserhom.combinatorics import binom, elements_of, kneser_sides, mask_of
 from kneserhom.config import GuardExceeded, Guards
 from kneserhom.graphs import Side, bit_indices, is_cochordal
 from kneserhom.kneser import (
@@ -104,9 +104,20 @@ def containment_adjacency(m: int, k: int) -> tuple[int, ...]:
 
 @pytest.mark.parametrize("m,k", [(m, k) for m in range(2, 10)
                                  for k in range(1, m // 2 + 1)]
-                         + [(12, 5), (70, 1)])
+                         + [(10, 3), (11, 5), (12, 5), (70, 1)])
 def test_build_is_the_containment_graph(m: int, k: int) -> None:
     assert build(m, k).graph.adj == containment_adjacency(m, k)
+
+
+@pytest.mark.parametrize("m", range(2, 13))
+def test_right_side_is_the_left_complemented_in_reverse(m: int) -> None:
+    # build reads right id C(m,k) + j as the complement of left id
+    # C(m,k) - 1 - j: complementing reverses the colex order
+    full = (1 << m) - 1
+    for k in range(1, m // 2 + 1):
+        left, right = kneser_sides(m, k)
+        assert len(right) == len(left) == binom(m, k)
+        assert all(b == full ^ left[-1 - j] for j, b in enumerate(right))
 
 
 @pytest.mark.parametrize("m,k", [(2, 1), (4, 2), (6, 3), (5, 2), (7, 3), (8, 3)])
