@@ -15,11 +15,12 @@ from typing import NamedTuple
 
 from .combinatorics import binom, bit_indices, check_mk, mask_of, subset_str
 from .config import DEFAULT_GUARDS, GuardExceeded, Guards
-from .graphs import (Graph, closed_neighborhood, complement, induced,
-                     induced_matching_number, is_cochordal, matching_checks,
-                     neighborhood)
-from .kneser import (KneserGraph, build, double_star_cover, dominating_w,
-                     e_s_family, gamma_demand_family, star_cover)
+from .graphs import (EdgeCapExceeded, Graph, closed_neighborhood, complement,
+                     induced, induced_matching_number, is_cochordal,
+                     matching_checks, neighborhood)
+from .kneser import (KneserGraph, build, domination_choice, dominating_w,
+                     double_star_cover, e_s_family, gamma_demand_family,
+                     spread, star_cover)
 from .symmetry import orbit_roots
 
 
@@ -309,10 +310,6 @@ def _edge_payload(kn: KneserGraph, edges) -> list:
     return out
 
 
-def _default_spread(m: int, k: int) -> int:
-    return (1 << (m - 2 * k)) - 1  # the colex-first (m-2k)-subset {1, ..., m-2k}
-
-
 def certify_induced_matching(m: int, k: int, s: int | None = None,
                              guards: Guards = DEFAULT_GUARDS) -> BoundReport:
     """Certified induced matching of size C(2k,k), plus the exact induced
@@ -322,8 +319,7 @@ def certify_induced_matching(m: int, k: int, s: int | None = None,
     lemma stated there."""
     kn = build(m, k, guards)
     g = kn.graph
-    if s is None:
-        s = _default_spread(m, k)
+    s = spread(kn, s)
     fam = e_s_family(kn, s)
     expected = binom(2 * k, k)
     present, pairwise, maximal = matching_checks(g, fam)
@@ -348,8 +344,10 @@ def certify_induced_matching(m: int, k: int, s: int | None = None,
         found = induced_matching_number(g, guards)
         exact = found.size
         anchors.append("exact value by exhaustive branch-and-bound search")
-    except (GuardExceeded, ValueError):
+    except GuardExceeded:
         anchors.append("exhaustive search skipped: outside the configured guards")
+    except EdgeCapExceeded as exc:
+        anchors.append(f"exhaustive search skipped: {exc}")
     reg_upper = reg_bounds(m, k).upper
     return BoundReport("induced_matching", {"m": m, "k": k},
                        lower=expected, upper=reg_upper, exact=exact,
@@ -427,20 +425,15 @@ def certify_cochordal_cover(m: int, k: int, variant: str = STAR_VARIANT,
 def certify_domination(m: int, k: int, s: int | None = None,
                        j: int | None = None,
                        guards: Guards = DEFAULT_GUARDS) -> BoundReport:
-    """Certified independent dominating set of size C(2k,k); the exact
-    independent domination number is attached when the search completes."""
+    """Certified independent dominating set of size C(2k,k), for the s and
+    j of `kneser.domination_choice`; the exact independent domination
+    number is attached when the search completes."""
     kn = build(m, k, guards)
     g = kn.graph
-    if kn.is_ladder:
-        w = dominating_w(kn)
-        params_extra = {}
-    else:
-        if s is None:
-            s = _default_spread(m, k)
-        if j is None:
-            j = min(e for e in range(1, m + 1) if not s >> (e - 1) & 1)
-        w = dominating_w(kn, s, j)
-        params_extra = {"s": subset_str(s), "j": j}
+    choice = domination_choice(kn, s, j)
+    w = dominating_w(kn, *(choice or ()))
+    params_extra = {} if choice is None else {"s": subset_str(choice[0]),
+                                              "j": choice[1]}
     independent = all(g.adj[v] & w == 0 for v in bit_indices(w))
     dominating = closed_neighborhood(g, w) == g.full_mask
     cert = Certificate(

@@ -29,11 +29,6 @@ from .combinatorics import binom, mask_of
 from .config import ENV_PREFIX, GUARD_NAMES, GuardExceeded, Guards
 
 
-def _guards_from(args) -> Guards:
-    return Guards.from_env().with_overrides(
-        **{name: getattr(args, name) for name in GUARD_NAMES})
-
-
 # Arguments that do not change the text a successful command prints stay
 # out of the cache key.
 _NOT_IN_KEY = {"func", "cache_dir", "threads", *GUARD_NAMES}
@@ -197,13 +192,13 @@ def _render_report(report: bounds_mod.BoundReport, output: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# commands: each returns (exit code, stdout text)
+# commands: each takes (args, guards) and returns (exit code, stdout text)
 # ---------------------------------------------------------------------------
 
 
-def cmd_info(args) -> tuple[int, str]:
+def cmd_info(args, guards: Guards) -> tuple[int, str]:
     # Closed forms: C(m,k) vertices per side, each of degree C(m-k,k).
-    n_left = kneser.side_size(args.m, args.k, _guards_from(args))
+    n_left = kneser.side_size(args.m, args.k, guards)
     degree = binom(args.m - args.k, args.k)
     ladder = args.m == 2 * args.k
     data = {
@@ -223,10 +218,9 @@ def cmd_info(args) -> tuple[int, str]:
                f"  ladder (m = 2k): {'yes' if ladder else 'no'}\n")
 
 
-def cmd_betti_linear(args) -> tuple[int, str]:
+def cmd_betti_linear(args, guards: Guards) -> tuple[int, str]:
     if args.verify and args.output == "csv":
         raise ValueError("--output csv is not available with --verify")
-    guards = _guards_from(args)
     strand = closed_form.linear_strand(args.m, args.k, args.i_max)
     if not args.verify:
         if args.output == "json":
@@ -261,8 +255,7 @@ def cmd_betti_linear(args) -> tuple[int, str]:
     return (0 if ok else 1), text
 
 
-def cmd_betti_table(args) -> tuple[int, str]:
-    guards = _guards_from(args)
+def cmd_betti_table(args, guards: Guards) -> tuple[int, str]:
     g = kneser.build(args.m, args.k, guards).graph
     table = hochster.full_betti_oracle(g, field_char=args.char, guards=guards)
     if args.output == "json":
@@ -273,10 +266,8 @@ def cmd_betti_table(args) -> tuple[int, str]:
                f"reg = {hochster.reg_of(table)}\n")
 
 
-def cmd_bounds(args) -> tuple[int, str]:
-    # The formulas enumerate nothing, but a malformed or negative guard is
-    # refused here as it is by every other subcommand.
-    _guards_from(args)
+def cmd_bounds(args, guards: Guards) -> tuple[int, str]:
+    # The formulas enumerate nothing, so the guards go unused.
     if args.invariant == "reg":
         report = bounds_mod.reg_bounds(args.m, args.k)
     elif args.invariant == "pd":
@@ -286,8 +277,7 @@ def cmd_bounds(args) -> tuple[int, str]:
     return 0, _render_report(report, args.output)
 
 
-def cmd_certify(args) -> tuple[int, str]:
-    guards = _guards_from(args)
+def cmd_certify(args, guards: Guards) -> tuple[int, str]:
     s = _parse_subset(args.s, args.m)
     q = _parse_subset(args.q, args.m)
     if args.kind == "matching":
@@ -308,8 +298,8 @@ def cmd_certify(args) -> tuple[int, str]:
     return 0, _render_report(report, args.output)
 
 
-def cmd_export(args) -> tuple[int, str]:
-    kn = kneser.build(args.m, args.k, _guards_from(args))
+def cmd_export(args, guards: Guards) -> tuple[int, str]:
+    kn = kneser.build(args.m, args.k, guards)
     if args.format == "m2":
         return 0, export.to_macaulay2(kn)
     if args.format == "singular":
@@ -403,14 +393,16 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _run(args) -> tuple[int, str]:
-    """(exit code, stdout text) of the chosen subcommand.  A cached
+    """(exit code, stdout text) of the chosen subcommand, given the guards,
+    built first so that a bad one is refused on a cache hit too.  A cached
     subcommand's text is served from the cache when it holds it, and stored
     there on a miss; both cached subcommands exit 0 or raise.  On a miss the
     entry's directory is made first, so that an unusable cache directory is
     refused before the computation, not after it."""
+    guards = Guards.from_env().with_overrides(
+        **{name: getattr(args, name) for name in GUARD_NAMES})
     if args.command not in _CACHED:
-        return args.func(args)
-    _guards_from(args)  # a malformed guard variable is refused on a hit too
+        return args.func(args, guards)
     text, path = _cache_fetch(args)
     if text is None:
         if path is not None:
@@ -418,7 +410,7 @@ def _run(args) -> tuple[int, str]:
                 path.parent.mkdir(parents=True, exist_ok=True)
             except OSError as exc:
                 raise _cache_error(path, exc) from exc
-        _, text = args.func(args)
+        _, text = args.func(args, guards)
         _cache_store(path, text)
     return 0, text
 

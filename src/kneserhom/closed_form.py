@@ -47,11 +47,9 @@ def _strand(m: int, k: int, i_max: int) -> list[int]:
 
 
 def betti_linear(m: int, k: int, i: int) -> int:
-    """beta_{i, i+1}(R/I(H(m, k))) in exact integer arithmetic."""
-    check_mk(m, k)
-    if i < 1:
-        raise ValueError(f"i must be >= 1, got {i}")
-    return _strand(m, k, i)[-1]
+    """beta_{i, i+1}(R/I(H(m, k))) in exact integer arithmetic: the last
+    value of `linear_strand` with i_max = i."""
+    return linear_strand(m, k, i).values[-1]
 
 
 @dataclass(frozen=True)

@@ -100,13 +100,17 @@ def k_subsets(m: int, k: int):
 def kneser_sides(m: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The vertex layout of H(m, k): its k-subsets, then its (m-k)-subsets,
     each side in colex (= numeric) order, so a side is sorted and a vertex id
-    is its index on the left, or C(m, k) plus its index on the right."""
+    is its index on the left, or C(m, k) plus its index on the right.
+    Complementing reverses colex order, so the right side is the left one
+    complemented, in reverse."""
     # Lists first: tuple() of a generator starts from a guessed size and
     # resizes, so the tuple never comes from CPython's free list for its
     # final size, yet joins that list when freed.  Made anew on each call,
     # such tuples raised the peak RSS call after call until the lists were
     # full.
-    return tuple([*k_subsets(m, k)]), tuple([*k_subsets(m, m - k)])
+    left = [*k_subsets(m, k)]
+    full = (1 << m) - 1
+    return tuple(left), tuple([full ^ a for a in reversed(left)])
 
 
 def n_exact(m: int, q: int, r: int, t: int) -> int:

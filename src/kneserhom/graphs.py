@@ -24,20 +24,15 @@ class Side(Enum):
 @dataclass(frozen=True)
 class Graph:
     """A simple graph on vertices 0 .. n-1, refused at construction unless
-    every row is in range, has no self-loop and is mirrored: each edge is
-    checked once, from its lower end, and the entry counts of the two
-    triangles must agree (see `__post_init__`).  Each row's higher entries
-    are walked from the top down by bit length, which makes fewer big-int
-    allocations per edge than isolating the lowest bit; a failure names the
-    lowest unmirrored pair (v, u): the lowest v, then the lowest u."""
+    every row is in range, has no self-loop and is mirrored (see
+    `__post_init__`); a failure names the lowest unmirrored pair (v, u):
+    the lowest v, then the lowest u."""
 
     n: int
     adj: tuple[int, ...]  # adj[v] = bitmask of neighbours of v
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("Graph: n must be nonnegative")
-        if len(self.adj) != self.n:
+        if len(self.adj) != self.n:  # a negative n too
             raise ValueError("Graph: adj length must equal n")
         full = (1 << self.n) - 1
         for v, row in enumerate(self.adj):
@@ -50,10 +45,13 @@ class Graph:
         # mirrors, so once they all do, the lower triangle holds at least
         # as many entries as the upper one; equal counts (twice the upper
         # count is the sum of all row popcounts) then leave no lower entry
-        # without its mirror.  The rows are in range by now, so each walk
-        # below ends.
+        # without its mirror.  Each row's higher entries are walked from the
+        # top down by bit length, which makes fewer big-int allocations per
+        # edge than isolating the lowest bit.  The rows are in range by now,
+        # so each walk ends, and higher is left nonzero only by a failed
+        # mirror; then one scan of both triangles names the pair.
         adj = self.adj
-        upper = 0
+        upper = higher = 0
         for v, row in enumerate(adj):
             higher = row >> (v + 1)
             upper += higher.bit_count()
@@ -61,15 +59,13 @@ class Graph:
             while higher:
                 top = higher.bit_length()
                 if not adj[v + top] & bit:
-                    # The walk goes down; name the row's lowest unmirrored entry.
-                    u = next(u for u in bit_indices(row) if u > v
-                             and not adj[u] & bit)
-                    raise ValueError(f"Graph: adjacency not symmetric at ({v},{u})")
+                    break
                 higher ^= 1 << (top - 1)
-        if 2 * upper != sum(row.bit_count() for row in adj):
+            if higher:
+                break
+        if higher or 2 * upper != sum(row.bit_count() for row in adj):
             v, u = next((v, u) for v, row in enumerate(adj)
-                        for u in bit_indices(row & (1 << v) - 1)
-                        if not adj[u] >> v & 1)
+                        for u in bit_indices(row) if not adj[u] >> v & 1)
             raise ValueError(f"Graph: adjacency not symmetric at ({v},{u})")
 
     @classmethod
@@ -78,8 +74,6 @@ class Graph:
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"self-loop at {u}")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         return cls(n, tuple(adj))
@@ -259,6 +253,10 @@ class InducedMatching(NamedTuple):
     edges: tuple[tuple[int, int], ...]
 
 
+class EdgeCapExceeded(ValueError):
+    """Raised past `induced_matching_number`'s max_edges cap, not a guard."""
+
+
 def induced_matching_number(g: Graph, guards: Guards = DEFAULT_GUARDS,
                             max_edges: int = 64) -> InducedMatching:
     """Exact maximum induced matching by branch and bound over the edge
@@ -269,9 +267,8 @@ def induced_matching_number(g: Graph, guards: Guards = DEFAULT_GUARDS,
     edges = g.edges()
     ne = len(edges)
     if ne > max_edges:
-        raise ValueError(
-            f"induced_matching_number: {ne} edges exceeds the search cap "
-            f"{max_edges}; pass a larger max_edges knowingly")
+        raise EdgeCapExceeded(f"{ne} edges, above the search cap max_edges = "
+                              f"{max_edges}")
     conflict = _conflict_rows(g, edges)
     best = 0
     best_set = 0

@@ -119,13 +119,17 @@ def build(m: int, k: int, guards: Guards = DEFAULT_GUARDS) -> KneserGraph:
     return KneserGraph(m, k, g, sides)
 
 
-def _check_spread(kn: KneserGraph, s: int) -> None:
+def spread(kn: KneserGraph, s: int | None = None) -> int:
+    """s, checked to be an (m-2k)-subset of [m]; {1, ..., m-2k} by default."""
+    if s is None:
+        return (1 << (kn.m - 2 * kn.k)) - 1
     if s >> kn.m:
         raise ValueError(f"s = {subset_str(s)} is not a subset of [m]")
     if s.bit_count() != kn.m - 2 * kn.k:
         raise ValueError(
             f"s must have exactly m - 2k = {kn.m - 2 * kn.k} elements, "
             f"got {subset_str(s)}")
+    return s
 
 
 def e_s_family(kn: KneserGraph, s: int) -> EdgeSet:
@@ -134,7 +138,7 @@ def e_s_family(kn: KneserGraph, s: int) -> EdgeSet:
     s must be an (m-2k)-subset of [m]; the family has C(2k, k) edges.
     For m = 2k, s is empty and the family is the entire (ladder) edge set.
     """
-    _check_spread(kn, s)
+    spread(kn, s)
     avail = (1 << kn.m) - 1 & ~s
     edges = []
     for elems in itertools.combinations(elements_of(avail), kn.k):
@@ -179,25 +183,35 @@ def double_star_cover(kn: KneserGraph, t: int) -> tuple[EdgeSet, ...]:
     return tuple(members)
 
 
-def dominating_w(kn: KneserGraph, s: int | None = None, j: int | None = None) -> int:
-    """An independent dominating set of size C(2k, k), as a vertex mask.
-
-    For m > 2k: with T = s u {j} (s an (m-2k)-subset, j an element outside
-    s), take the left k-subsets disjoint from T together with the right
-    (m-k)-subsets containing T.  For m = 2k the construction degenerates and
-    one full side is returned; s and j must be omitted.
-    """
+def domination_choice(kn: KneserGraph, s: int | None = None,
+                      j: int | None = None) -> tuple[int, int] | None:
+    """The checked (s, j) of `dominating_w`: None for m = 2k, which takes
+    neither (s may be the empty set); else s as in `spread`, and j an
+    element of [m] outside s, by default the lowest, read off s once s is
+    checked."""
     if kn.is_ladder:
         if s not in (None, 0) or j is not None:
             raise ValueError("dominating_w: for m = 2k pass no s and no j")
-        return kn.left_mask
-    if s is None or j is None:
-        raise ValueError("dominating_w: s and j are required for m > 2k")
-    _check_spread(kn, s)
+        return None
+    s = spread(kn, s)
+    if j is None:
+        j = (~s & (s + 1)).bit_length()  # the lowest element outside s
     if not 1 <= j <= kn.m:
         raise ValueError(f"j must be an element of [m], got {j}")
     if s >> (j - 1) & 1:
         raise ValueError(f"j = {j} must lie outside s = {subset_str(s)}")
+    return s, j
+
+
+def dominating_w(kn: KneserGraph, s: int | None = None, j: int | None = None) -> int:
+    """An independent dominating set of size C(2k, k), as a vertex mask:
+    for m > 2k, with T = s u {j} (see `domination_choice`), the left
+    k-subsets disjoint from T and the right (m-k)-subsets containing T;
+    for m = 2k, where the construction degenerates, one full side."""
+    choice = domination_choice(kn, s, j)
+    if choice is None:
+        return kn.left_mask
+    s, j = choice
     t_mask = s | 1 << (j - 1)
     left, right = kn.sides
     out = 0

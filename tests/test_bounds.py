@@ -331,11 +331,27 @@ def test_certify_induced_matching_single_rung_pair() -> None:
 
 
 def test_certify_induced_matching_search_skipped_when_large() -> None:
-    # 90 edges exceed the default search cap; the certificate still stands
-    r = certify_induced_matching(6, 2)
+    # 90 edges exceed the search's fixed edge cap, which no guard raises;
+    # the certificate still stands
+    r = certify_induced_matching(6, 2, guards=Guards(max_search_nodes=10 ** 9))
     assert r.lower == 6
     assert r.exact is None
-    assert any("skipped" in a for a in r.anchors)
+    assert r.anchors[-1] == ("exhaustive search skipped: 90 edges, above the "
+                             "search cap max_edges = 64")
+    r = certify_induced_matching(5, 2, guards=Guards(max_search_nodes=1))
+    assert r.exact is None
+    assert r.anchors[-1] == "exhaustive search skipped: outside the configured guards"
+
+
+def test_certify_induced_matching_passes_on_other_value_errors(monkeypatch) -> None:
+    import kneserhom.bounds as bounds_module
+
+    def broken(g, guards):
+        raise ValueError("not a cap")
+
+    monkeypatch.setattr(bounds_module, "induced_matching_number", broken)
+    with pytest.raises(ValueError, match="not a cap"):
+        certify_induced_matching(5, 2)
 
 
 def test_certify_cochordal_cover_variants() -> None:
@@ -414,6 +430,27 @@ def test_certify_domination_cube() -> None:
 def test_certify_domination_defaults() -> None:
     r = certify_domination(5, 2)
     assert r.params["s"] == "{1}" and r.params["j"] == 2
+    r = certify_domination(6, 2, s=mask_of([1, 3]))
+    assert r.params["s"] == "{1,3}" and r.params["j"] == 2
+
+
+@pytest.mark.parametrize("m,k,s,j,message", [
+    (4, 2, [1, 2], 3, "for m = 2k pass no s and no j"),
+    (4, 2, None, 3, "for m = 2k pass no s and no j"),
+    (4, 1, [1, 2, 3, 4], None, "s must have exactly m - 2k = 2 elements"),
+    (5, 2, [1], 1, "j = 1 must lie outside s"),
+])
+def test_certify_domination_refuses_bad_s_or_j(m, k, s, j, message) -> None:
+    with pytest.raises(ValueError, match=message):
+        certify_domination(m, k, s=None if s is None else mask_of(s), j=j)
+
+
+def test_certify_domination_search_skipped() -> None:
+    r = certify_domination(7, 2, guards=Guards(max_search_nodes=1))
+    assert r.exact is None
+    assert report_checks(r) == {"independent": True, "dominating": True,
+                                "size_is_central_binomial": True}
+    assert r.anchors[-1] == "exhaustive search skipped: outside the configured guards"
 
 
 def test_certify_gamma_demand_h52() -> None:

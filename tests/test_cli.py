@@ -113,6 +113,27 @@ def test_subset_element_above_m_exits_2(capsys) -> None:
     assert "element 100 is above m = 5" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("4", "2", "--s", "1,2", "--j", "3"),
+     "dominating_w: for m = 2k pass no s and no j"),
+    (("4", "1", "--s", "1,2,3,4"),
+     "s must have exactly m - 2k = 2 elements"),
+])
+def test_certify_domination_refuses_bad_s_or_j(capsys, argv, message) -> None:
+    code, out, err = run(capsys, "certify", *argv, "--kind", "domination")
+    assert (code, out) == (2, "")
+    assert err.count("error:") == 1 and message in err
+
+
+def test_certify_matching_names_the_edge_cap(capsys) -> None:
+    # The cap is no guard: raising the search-node guard does not lift it.
+    code, out, _ = run(capsys, "certify", "6", "2", "--kind", "matching",
+                       "--max-search-nodes", "999999999")
+    assert code == 0
+    assert out.endswith("  - exhaustive search skipped: 90 edges, above the "
+                        "search cap max_edges = 64\n")
+
+
 def test_betti_linear_text(capsys) -> None:
     code, out, _ = run(capsys, "betti-linear", "5", "2", "--i-max", "4")
     assert code == 0
@@ -551,6 +572,10 @@ def test_guard_flag_beats_env(capsys, monkeypatch) -> None:
     (("betti-table", "3", "1", "--max-faces", "-5"), None),
     (("export", "3", "1", "--format", "dot", "--max-subsets", "-1"), None),
     (("betti-table", "3", "1"), "-5"),
+    (("info", "3", "1", "--max-search-nodes", "-1"), None),
+    (("betti-linear", "3", "1", "--max-matrix-cells", "-1"), None),
+    (("bounds", "3", "1", "--invariant", "pd"), "-1"),
+    (("certify", "3", "1", "--kind", "gamma", "--max-faces", "-2"), None),
 ])
 def test_negative_guard_limit_exits_2(capsys, monkeypatch, argv, env) -> None:
     if env is not None:

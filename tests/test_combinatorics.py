@@ -58,6 +58,8 @@ def test_mask_round_trip() -> None:
     assert subset_str(0) == "{}"
     with pytest.raises(ValueError):
         mask_of([0])
+    with pytest.raises(ValueError, match="nonnegative"):
+        bit_indices(-1)
     with pytest.raises(ValueError):
         mask_of([-1])
     assert mask_of([70]) == 1 << 69  # no word-size cap on the ground set
@@ -113,6 +115,10 @@ def test_n_exact_domain_errors() -> None:
         n_exact(5, 2, 3, 4)
     with pytest.raises(ValueError):
         n_exact(5, 2, 6, 2)
+    with pytest.raises(ValueError, match="q must be >= 1"):
+        n_exact_oracle(5, 0, 3, 2)
+    with pytest.raises(ValueError, match="need 0 <= t <= r <= m"):
+        n_exact_oracle(5, 2, 3, 4)
 
 
 def test_n_exact_matches_brute_force() -> None:

@@ -84,10 +84,13 @@ def loopless_rows(draw, max_n: int = 9):
 @settings(max_examples=300)
 def test_symmetry_check_is_the_transpose(case) -> None:
     n, adj = case
-    if transpose(n, adj) == adj:
+    t = transpose(n, adj)
+    if t == adj:
         assert Graph(n, adj).adj == adj
     else:
-        with pytest.raises(ValueError, match="not symmetric"):
+        v, u = min((v, u) for v in range(n) for u in range(n)
+                   if adj[v] >> u & 1 and not t[v] >> u & 1)
+        with pytest.raises(ValueError, match=rf"not symmetric at \({v},{u}\)$"):
             Graph(n, adj)
 
 
@@ -107,6 +110,10 @@ def test_symmetry_check_cases() -> None:
     # message names the lowest pair.
     with pytest.raises(ValueError, match=r"not symmetric at \(0,2\)"):
         Graph(4, (0b1110, 0b0001, 0, 0))
+    # The mirror walk fails in row 3 at (3,4), but the lowest unmirrored
+    # pair lies below the diagonal in an earlier row.
+    with pytest.raises(ValueError, match=r"not symmetric at \(2,0\)"):
+        Graph(5, (0, 0, 1, 16, 0))
     # A negative row is refused by the range check before any bit walk.
     with pytest.raises(ValueError, match="mentions vertices >= n"):
         Graph(2, (-1, 0))

@@ -208,6 +208,9 @@ def test_enumerate_faces_guard() -> None:
     with pytest.raises(GuardExceeded) as exc:
         enumerate_faces(empty_graph(6), 0b111111, guards=Guards(max_faces=63))
     assert (exc.value.guard, exc.value.needed) == ("max_faces", 64)
+    # A slice outside the graph is refused before the guard is consulted.
+    with pytest.raises(ValueError, match="outside the graph"):
+        enumerate_faces(empty_graph(6), 1 << 6, guards=Guards(max_faces=0))
 
 
 def test_homology_of_handmade_complexes() -> None:

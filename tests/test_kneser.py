@@ -111,13 +111,12 @@ def test_build_is_the_containment_graph(m: int, k: int) -> None:
 
 @pytest.mark.parametrize("m", range(2, 13))
 def test_right_side_is_the_left_complemented_in_reverse(m: int) -> None:
-    # build reads right id C(m,k) + j as the complement of left id
-    # C(m,k) - 1 - j: complementing reverses the colex order
-    full = (1 << m) - 1
+    # kneser_sides makes the right side as the left one complemented, in
+    # reverse, so check it against the (m-k)-subsets enumerated anew
     for k in range(1, m // 2 + 1):
-        left, right = kneser_sides(m, k)
-        assert len(right) == len(left) == binom(m, k)
-        assert all(b == full ^ left[-1 - j] for j, b in enumerate(right))
+        right = sorted(sum(1 << e for e in c)
+                       for c in itertools.combinations(range(m), m - k))
+        assert kneser_sides(m, k)[1] == tuple(right)
 
 
 @pytest.mark.parametrize("m,k", [(2, 1), (4, 2), (6, 3), (5, 2), (7, 3), (8, 3)])
@@ -327,10 +326,13 @@ def test_dominating_w_ladder(kn42: KneserGraph) -> None:
 
 
 def test_dominating_w_rejects_overlapping_j(kn52: KneserGraph) -> None:
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must lie outside"):
         dominating_w(kn52, mask_of([3]), 3)
-    with pytest.raises(ValueError):
-        dominating_w(kn52, mask_of([3]), None)
+    for j in (0, 6):
+        with pytest.raises(ValueError, match="j must be an element of"):
+            dominating_w(kn52, mask_of([3]), j)
+    # An omitted j is the lowest element outside s.
+    assert dominating_w(kn52, mask_of([1]), None) == dominating_w(kn52, mask_of([1]), 2)
 
 
 def test_gamma_demand_family_shape(kn52: KneserGraph) -> None:
@@ -356,6 +358,9 @@ def test_gamma_demand_family_validation(kn52: KneserGraph) -> None:
         gamma_demand_family(kn52, mask_of([1]), mask_of([2, 3]))
     with pytest.raises(ValueError):
         gamma_demand_family(kn52, mask_of([1]), mask_of([1, 2, 3]))
+    for q, s in [([6], [2, 3, 4]), ([1], [2, 3, 6])]:
+        with pytest.raises(ValueError, match="subsets of"):
+            gamma_demand_family(kn52, mask_of(q), mask_of(s))
 
 
 def test_no_two_left_vertices_dominate_demand(kn52: KneserGraph) -> None:
