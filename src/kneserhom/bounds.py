@@ -146,31 +146,63 @@ class SearchResult(NamedTuple):
 
 def gamma_of(g: Graph, c: int, guards: Guards = DEFAULT_GUARDS) -> SearchResult:
     """Minimum size of a vertex set X with c contained in N(X), by iterative
-    deepening; the witness mask attains it.  Raises if some demanded vertex
-    has no neighbor at all."""
+    deepening on each part of c (`_gamma`); the witness mask attains it.
+    Raises if some demanded vertex has no neighbor at all."""
     return _gamma(g, c, guards, 0)[0]
 
 
 def _gamma(g: Graph, c: int, guards: Guards, nodes: int) -> tuple[SearchResult, int]:
     """`gamma_of`, counting its search nodes against max_search_nodes on top
-    of the nodes already spent; returns the result and the new count."""
+    of the nodes already spent; returns the result and the new count.
+
+    Split lemma: put two demanded vertices in one part when their
+    neighborhoods meet, and close that relation transitively.  A vertex
+    covers demanded vertices of one part only, so the parts have disjoint
+    coverer sets, a cover of c is a disjoint union of covers of its parts,
+    and gamma(c) is the sum of gamma(part).  Each part is searched on its
+    own, lowest vertex first, and the witness is the union of theirs.  On
+    a bipartite graph the two sides fall in separate parts."""
     if c & ~g.full_mask:
         raise ValueError("gamma_of: c mentions vertices outside the graph")
-    if c == 0:
-        return SearchResult(0, 0), nodes
     adj = g.adj
     # Adjacency is symmetric, so the vertices that cover u are its neighbors.
-    # tiers groups the demanded vertices by coverer count, fewest first: the
-    # lowest uncovered bit of the first tier that has one is the lowest-id
-    # uncovered vertex with the fewest coverers, the one branched on.
-    by_count: dict[int, int] = {}
-    for u in bit_indices(c):
+    # A part grows from its lowest vertex in layers: the frontier's new
+    # coverers, then the demanded vertices they cover.  All that a coverer
+    # covers lies in its part, so max_cover is read as it is walked.  An
+    # isolated vertex is a part of its own and parts start lowest first, so
+    # the lowest uncoverable u is named.  Tiers group a part by coverer
+    # count, fewest first: the lowest uncovered bit of the first tier that
+    # has one is the lowest-id uncovered vertex with the fewest coverers,
+    # the one branched on.
+    parts = []
+    left = c
+    while left:
+        part = frontier = left & -left
+        u = part.bit_length() - 1
         if not adj[u]:
             raise ValueError(f"gamma_of: vertex {u} has no neighbor; demand not coverable")
-        count = adj[u].bit_count()
-        by_count[count] = by_count.get(count, 0) | 1 << u
-    tiers = [by_count[count] for count in sorted(by_count)]
-    max_cover = max((row & c).bit_count() for row in adj)
+        coverers = max_cover = 0
+        by_count: dict[int, int] = {}
+        while frontier:
+            fresh = 0
+            for u in bit_indices(frontier):
+                fresh |= adj[u]
+                count = adj[u].bit_count()
+                by_count[count] = by_count.get(count, 0) | 1 << u
+            fresh &= ~coverers
+            coverers |= fresh
+            reach = 0
+            while fresh:
+                bit = fresh & -fresh
+                fresh ^= bit
+                row = adj[bit.bit_length() - 1]
+                reach |= row
+                if (row & c).bit_count() > max_cover:
+                    max_cover = (row & c).bit_count()
+            frontier = reach & left & ~part
+            part |= frontier
+        left &= ~part
+        parts.append((part, max_cover, [by_count[n] for n in sorted(by_count)]))
 
     def dfs(uncovered: int, depth: int, chosen: int) -> int | None:
         # A node is entered only when it is no leaf, has depth left and
@@ -180,23 +212,28 @@ def _gamma(g: Graph, c: int, guards: Guards, nodes: int) -> tuple[SearchResult, 
         guards.check("max_search_nodes", nodes, "gamma_of")
         tier = next(t for t in tiers if t & uncovered) & uncovered
         depth -= 1
-        for v in bit_indices(adj[(tier & -tier).bit_length() - 1]):
-            rest = uncovered & ~adj[v]
+        todo = adj[(tier & -tier).bit_length() - 1]
+        while todo:
+            bit = todo & -todo
+            todo ^= bit
+            rest = uncovered & ~adj[bit.bit_length() - 1]
             if rest == 0:
-                return chosen | 1 << v
-            if depth and _ceil_div(rest.bit_count(), max_cover) <= depth:
-                got = dfs(rest, depth, chosen | 1 << v)
+                return chosen | bit
+            # ceil(|rest| / max_cover) <= depth, never at depth 0.
+            if depth and rest.bit_count() <= depth * max_cover:
+                got = dfs(rest, depth, chosen | bit)
                 if got is not None:
                     return got
         return None
 
-    # The first depth is the bound itself, so the root always passes it.
-    depth = _ceil_div(c.bit_count(), max_cover)
-    while True:
-        got = dfs(c, depth, 0)
-        if got is not None:
-            return SearchResult(got.bit_count(), got), nodes
-        depth += 1
+    witness = 0
+    for part, max_cover, tiers in parts:
+        # The first depth is the bound itself, so the root always passes it.
+        depth = _ceil_div(part.bit_count(), max_cover)
+        while (got := dfs(part, depth, 0)) is None:
+            depth += 1
+        witness |= got
+    return SearchResult(witness.bit_count(), witness), nodes
 
 
 def independent_domination_number(g: Graph, guards: Guards = DEFAULT_GUARDS) -> SearchResult:
@@ -218,29 +255,38 @@ def independent_domination_number(g: Graph, guards: Guards = DEFAULT_GUARDS) -> 
     nodes = 0
 
     def dfs(chosen: int, dominated: int, allowed: int, depth: int) -> int | None:
+        # The caller enters a child only when it dominates not all, has
+        # depth left and passes the bound, so every call counts.
         nonlocal nodes
-        if dominated == full:
-            return chosen
-        if depth == 0 or _ceil_div((full & ~dominated).bit_count(), max_closed) > depth:
-            return None
         nodes += 1
         guards.check("max_search_nodes", nodes, "independent_domination_number")
         undom = full & ~dominated
-        u = (undom & -undom).bit_length() - 1
-        for v in bit_indices(closed[u] & allowed):
-            got = dfs(chosen | 1 << v, dominated | closed[v],
-                      allowed & ~closed[v], depth - 1)
-            if got is not None:
-                return got
+        depth -= 1
+        todo = closed[(undom & -undom).bit_length() - 1] & allowed
+        while todo:
+            bit = todo & -todo
+            todo ^= bit
+            row = closed[bit.bit_length() - 1]
+            dom = dominated | row
+            if dom == full:
+                return chosen | bit
+            # ceil(|undominated| / max_closed) <= depth, never at depth 0.
+            if depth and (full & ~dom).bit_count() <= depth * max_closed:
+                got = dfs(chosen | bit, dom, allowed & ~row, depth)
+                if got is not None:
+                    return got
         return None
 
     roots = orbit_roots(adj)
     depth = _ceil_div(g.n, max_closed)
     while True:
         for r, _, earlier in roots:
-            got = dfs(1 << r, closed[r], full & ~closed[r] & ~earlier, depth - 1)
-            if got is not None:
-                return SearchResult(got.bit_count(), got)
+            if closed[r] == full:
+                return SearchResult(1, 1 << r)
+            if (full & ~closed[r]).bit_count() <= (depth - 1) * max_closed:
+                got = dfs(1 << r, closed[r], full & ~closed[r] & ~earlier, depth - 1)
+                if got is not None:
+                    return SearchResult(got.bit_count(), got)
         depth += 1
 
 
@@ -278,8 +324,10 @@ def tau_of(g: Graph, guards: Guards = DEFAULT_GUARDS) -> int:
     An automorphism maps maximal independent sets onto maximal independent
     sets and N(X) onto N(image of X), so it keeps gamma_of(C).  The maximum
     is therefore taken over the C that hold the r and miss the earlier of
-    some root of `symmetry.orbit_roots`.  One max_search_nodes count covers
-    the sets listed and the nodes of every covering search."""
+    some root of `symmetry.orbit_roots`.  Each covering search runs once per
+    part of C (`_gamma`), so once per side of a bipartite graph.  One
+    max_search_nodes count covers the sets listed and the nodes of every
+    covering search."""
     live = 0
     for v in range(g.n):
         if g.adj[v]:
@@ -476,14 +524,18 @@ def certify_gamma_demand(m: int, k: int, q: int | None = None,
                          s: int | None = None,
                          guards: Guards = DEFAULT_GUARDS) -> BoundReport:
     """Certified demand family: gamma_of(D) for the right-side demand D of
-    supersets of a (k-1)-set Q, with the (k+1)-element witness family."""
+    supersets of a (k-1)-set Q, with the (k+1)-element witness family.  By
+    default q holds the lowest k-1 elements outside s, and s the lowest
+    k+1 outside q."""
     kn = build(m, k, guards)
     g = kn.graph
+    ground = range(1, m + 1)
     if q is None:
-        q = (1 << (k - 1)) - 1
+        # Elements of s come last, so that an s too large for q to fit
+        # beside it is named by its own check, not by a short q.
+        q = mask_of(sorted(ground, key=lambda e: (s or 0) >> (e - 1) & 1)[:k - 1])
     if s is None:
-        rest = [e for e in range(1, m + 1) if not q >> (e - 1) & 1]
-        s = mask_of(rest[:k + 1])
+        s = mask_of([e for e in ground if not q >> (e - 1) & 1][:k + 1])
     demand, witnesses = gamma_demand_family(kn, q, s)
     witness_mask = 0
     for v in witnesses:

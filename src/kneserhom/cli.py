@@ -277,7 +277,17 @@ def cmd_bounds(args, guards: Guards) -> tuple[int, str]:
     return 0, _render_report(report, args.output)
 
 
+# The options each certify kind reads; any other one it is given is refused.
+_CERTIFY_READS = {"matching": ("s",), "cochord": ("variant", "t"),
+                  "domination": ("s", "j"), "gamma": ("q", "s")}
+
+
 def cmd_certify(args, guards: Guards) -> tuple[int, str]:
+    for name in ("s", "q", "j", "t", "variant"):
+        if getattr(args, name) is not None and name not in _CERTIFY_READS[args.kind]:
+            raise ValueError(f"--kind {args.kind} does not read --{name}")
+    if args.t is not None and args.variant != "double-stars":
+        raise ValueError("--t is read only with --variant double-stars")
     s = _parse_subset(args.s, args.m)
     q = _parse_subset(args.q, args.m)
     if args.kind == "matching":
@@ -357,7 +367,8 @@ def _parser() -> argparse.ArgumentParser:
                         help="regularity / projective dimension bounds")
     sp.add_argument("--invariant", choices=["reg", "pd", "reg-power"],
                     required=True)
-    sp.add_argument("--p", type=int, default=1, help="power for reg-power")
+    sp.add_argument("--p", type=int, default=1,
+                    help="power of the ideal; only --invariant reg-power reads it")
     sp.set_defaults(func=cmd_bounds)
 
     sp = sub.add_parser("certify", parents=[common],
@@ -373,7 +384,8 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("--t", type=int, default=None,
                     help="distinguished element for double-star covers")
     sp.add_argument("--variant", choices=["stars", "double-stars"],
-                    default="stars", help="cover variant for --kind cochord")
+                    default=None, help="cover variant for --kind cochord "
+                                       "(default stars)")
     sp.set_defaults(func=cmd_certify)
 
     sp = sub.add_parser("export", parents=[common],

@@ -154,20 +154,36 @@ def test_gamma_of_rejects_uncoverable() -> None:
         gamma_of(g, 1 << 3)
 
 
-@given(random_graphs())
-@settings(max_examples=60, deadline=None)
-def test_gamma_of_matches_brute_force(g: Graph) -> None:
-    live = 0
-    for v in range(g.n):
-        if g.adj[v]:
-            live |= 1 << v
-    if live == 0:
-        return
-    # demand everything coverable, and one smaller demand
-    for c in [live, live & (live - 1)]:
-        if c == 0:
-            continue
-        assert gamma_of(g, c).value == brute_gamma(g, c)
+@st.composite
+def split_demands(draw):
+    """(g, c): a disjoint union of up to three random graphs, with one
+    isolated vertex appended, 10 vertices at most, and a demand c on the
+    vertices that have a neighbor.  The pieces may hold odd cycles, and a
+    demand that meets two of them splits into several parts."""
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)
+                 .filter(lambda sizes: sum(sizes) <= 9))
+    edges, base = [], 0
+    for size in sizes:
+        edges += [(base + a, base + b) for a, b in itertools.combinations(range(size), 2)
+                  if draw(st.booleans())]
+        base += size
+    g = Graph.from_edges(base + 1, edges)
+    live = sum(1 << v for v in range(g.n) if g.adj[v])
+    return g, draw(st.integers(0, live)) & live
+
+
+@given(split_demands())
+@settings(max_examples=150, deadline=None)
+def test_gamma_of_matches_brute_force(case) -> None:
+    g, c = case
+    res = gamma_of(g, c)
+    covered = 0
+    for v in bit_indices(res.witness):
+        covered |= g.adj[v]
+    assert c & ~covered == 0
+    assert res.value == res.witness.bit_count() == brute_gamma(g, c)
+    with pytest.raises(ValueError, match=f"vertex {g.n - 1} has no neighbor"):
+        gamma_of(g, c | 1 << g.n - 1)
 
 
 def test_gamma_of_full_right_side_cube() -> None:
@@ -275,17 +291,25 @@ def test_tau_examples() -> None:
 
 
 def test_searches_fit_a_thousand_nodes() -> None:
-    # An exact bound on the work of the orbit-root searches: i(H(10,2))
-    # takes 580 nodes, started from every vertex 48,105.  tau(H(8,2)) walks
-    # 218 maximal independent sets (1,718 from every vertex) and its
-    # covering searches 2,250 nodes, all counted against one total.
-    guards = Guards(max_search_nodes=1_000)
-    assert independent_domination_number(build(10, 2).graph, guards).value == 6
-    g = build(8, 2).graph
-    assert tau_of(g, Guards(max_search_nodes=2_468)) == 4
+    # An exact bound on the work of the orbit-root searches, each pinned
+    # where it passes and refused one below.  i(H(10,2)) takes 580 nodes,
+    # started from every vertex 48,105.  tau(H(8,2)) walks 218 maximal
+    # independent sets (1,718 from every vertex) and its covering searches
+    # 550 nodes, all counted against one total; tau(H(7,2)) walks 155 sets
+    # and 388 nodes.  Each set holds vertices of both sides, so its demand
+    # splits into two parts searched apart: with one search over the whole
+    # set the totals were 2,468 and 1,455.
+    g = build(10, 2).graph
+    assert independent_domination_number(g, Guards(max_search_nodes=580)).value == 6
     with pytest.raises(GuardExceeded) as exc:
-        tau_of(g, Guards(max_search_nodes=2_467))
-    assert (exc.value.guard, exc.value.needed) == ("max_search_nodes", 2_468)
+        independent_domination_number(g, Guards(max_search_nodes=579))
+    assert (exc.value.guard, exc.value.needed) == ("max_search_nodes", 580)
+    for m, nodes in ((8, 768), (7, 543)):
+        g = build(m, 2).graph
+        assert tau_of(g, Guards(max_search_nodes=nodes)) == 4
+        with pytest.raises(GuardExceeded) as exc:
+            tau_of(g, Guards(max_search_nodes=nodes - 1))
+        assert (exc.value.guard, exc.value.needed) == ("max_search_nodes", nodes)
 
 
 def test_tau_below_regularity() -> None:
@@ -460,6 +484,20 @@ def test_certify_gamma_demand_h52() -> None:
     assert all(checks.values())
     assert checks["demand_size_expected"]
     assert r.certificates[0].payload["gamma"] == 3
+
+
+def test_certify_gamma_demand_default_q_misses_s() -> None:
+    # With s given, q is the lowest k - 1 elements outside it; with neither
+    # given, q = {1, ..., k-1} and s the next k + 1 elements.  An s too large
+    # to leave room for q is named by its own check.
+    r = certify_gamma_demand(5, 2, s=mask_of([1, 2, 3]))
+    assert (r.params["q"], r.params["s"], r.exact) == ("{4}", "{1,2,3}", 3)
+    r = certify_gamma_demand(7, 3, s=mask_of([1, 3, 5, 7]))
+    assert r.params["q"] == "{2,4}"
+    assert (certify_gamma_demand(7, 3).params["q"],
+            certify_gamma_demand(7, 3).params["s"]) == ("{1,2}", "{3,4,5,6}")
+    with pytest.raises(ValueError, match="s must have k \\+ 1 = 3 elements"):
+        certify_gamma_demand(5, 2, s=mask_of([1, 2, 3, 4, 5]))
 
 
 def test_certify_gamma_demand_h31() -> None:

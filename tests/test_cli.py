@@ -316,6 +316,42 @@ def test_certify_kinds(capsys, kind: str, extra: list) -> None:
         assert all(cert["checks"].values())
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("--kind", "cochord", "--t", "3"), "--t is read only with --variant double-stars"),
+    (("--kind", "cochord", "--variant", "stars", "--t", "3"),
+     "--t is read only with --variant double-stars"),
+    (("--kind", "cochord", "--s", "1"), "--kind cochord does not read --s"),
+    (("--kind", "matching", "--j", "3"), "--kind matching does not read --j"),
+    (("--kind", "gamma", "--j", "3"), "--kind gamma does not read --j"),
+    (("--kind", "matching", "--q", "1"), "--kind matching does not read --q"),
+    (("--kind", "domination", "--q", "1"), "--kind domination does not read --q"),
+    (("--kind", "matching", "--t", "3"), "--kind matching does not read --t"),
+    (("--kind", "gamma", "--variant", "stars"), "--kind gamma does not read --variant"),
+    (("--kind", "domination", "--variant", "double-stars"),
+     "--kind domination does not read --variant"),
+])
+def test_certify_refuses_options_its_kind_ignores(capsys, argv, message) -> None:
+    code, out, err = run(capsys, "certify", "5", "2", *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+def test_certify_gamma_default_q_misses_s(capsys) -> None:
+    code, out, _ = run(capsys, "certify", "5", "2", "--kind", "gamma", "--s", "1,2,3")
+    assert code == 0
+    assert "params    : k=2, m=5, q={4}, s={1,2,3}\n" in out
+
+
+def test_bounds_p_is_accepted_and_documented(capsys) -> None:
+    # The benchmark passes --p with every invariant; only reg-power reads it.
+    for inv in ("reg", "pd"):
+        assert run(capsys, "bounds", "5", "2", "--invariant", inv, "--p", "3") \
+            == run(capsys, "bounds", "5", "2", "--invariant", inv)
+    code, out, _ = run(capsys, "bounds", "--help")
+    assert code == 0
+    assert "only --invariant reg-power reads it" in " ".join(out.split())
+
+
 def test_certify_text_render(capsys) -> None:
     code, out, _ = run(capsys, "certify", "5", "2", "--kind", "cochord",
                        "--variant", "double-stars")
