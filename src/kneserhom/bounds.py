@@ -166,43 +166,30 @@ def _gamma(g: Graph, c: int, guards: Guards, nodes: int) -> tuple[SearchResult, 
         raise ValueError("gamma_of: c mentions vertices outside the graph")
     adj = g.adj
     # Adjacency is symmetric, so the vertices that cover u are its neighbors.
-    # A part grows from its lowest vertex in layers: the frontier's new
-    # coverers, then the demanded vertices they cover.  All that a coverer
-    # covers lies in its part, so max_cover is read as it is walked.  An
-    # isolated vertex is a part of its own and parts start lowest first, so
-    # the lowest uncoverable u is named.  Tiers group a part by coverer
-    # count, fewest first: the lowest uncovered bit of the first tier that
-    # has one is the lowest-id uncovered vertex with the fewest coverers,
-    # the one branched on.
+    # tiers groups the demanded vertices by coverer count, fewest first: the
+    # lowest uncovered bit of the first tier that has one is the lowest-id
+    # uncovered vertex with the fewest coverers, the one branched on.
+    by_count: dict[int, int] = {}
+    for u in bit_indices(c):
+        if not adj[u]:
+            raise ValueError(f"gamma_of: vertex {u} has no neighbor; demand not coverable")
+        count = adj[u].bit_count()
+        by_count[count] = by_count.get(count, 0) | 1 << u
+    tiers = [by_count[count] for count in sorted(by_count)]
+    # A part is the closure of its lowest vertex: add the demanded vertices
+    # that its coverers cover until none is new.
     parts = []
     left = c
     while left:
         part = frontier = left & -left
-        u = part.bit_length() - 1
-        if not adj[u]:
-            raise ValueError(f"gamma_of: vertex {u} has no neighbor; demand not coverable")
-        coverers = max_cover = 0
-        by_count: dict[int, int] = {}
+        coverers = 0
         while frontier:
-            fresh = 0
-            for u in bit_indices(frontier):
-                fresh |= adj[u]
-                count = adj[u].bit_count()
-                by_count[count] = by_count.get(count, 0) | 1 << u
-            fresh &= ~coverers
+            fresh = neighborhood(g, frontier) & ~coverers
             coverers |= fresh
-            reach = 0
-            while fresh:
-                bit = fresh & -fresh
-                fresh ^= bit
-                row = adj[bit.bit_length() - 1]
-                reach |= row
-                if (row & c).bit_count() > max_cover:
-                    max_cover = (row & c).bit_count()
-            frontier = reach & left & ~part
+            frontier = neighborhood(g, fresh) & left & ~part
             part |= frontier
         left &= ~part
-        parts.append((part, max_cover, [by_count[n] for n in sorted(by_count)]))
+        parts.append((part, max((adj[v] & part).bit_count() for v in bit_indices(coverers))))
 
     def dfs(uncovered: int, depth: int, chosen: int) -> int | None:
         # A node is entered only when it is no leaf, has depth left and
@@ -227,7 +214,7 @@ def _gamma(g: Graph, c: int, guards: Guards, nodes: int) -> tuple[SearchResult, 
         return None
 
     witness = 0
-    for part, max_cover, tiers in parts:
+    for part, max_cover in parts:
         # The first depth is the bound itself, so the root always passes it.
         depth = _ceil_div(part.bit_count(), max_cover)
         while (got := dfs(part, depth, 0)) is None:

@@ -154,16 +154,34 @@ def test_gamma_of_rejects_uncoverable() -> None:
         gamma_of(g, 1 << 3)
 
 
+@given(random_graphs())
+@settings(max_examples=60, deadline=None)
+def test_gamma_of_matches_brute_force(g: Graph) -> None:
+    live = 0
+    for v in range(g.n):
+        if g.adj[v]:
+            live |= 1 << v
+    if live == 0:
+        return
+    # demand everything coverable, and one smaller demand
+    for c in [live, live & (live - 1)]:
+        if c == 0:
+            continue
+        assert gamma_of(g, c).value == brute_gamma(g, c)
+
+
 @st.composite
 def split_demands(draw):
-    """(g, c): a disjoint union of up to three random graphs, with one
-    isolated vertex appended, 10 vertices at most, and a demand c on the
-    vertices that have a neighbor.  The pieces may hold odd cycles, and a
-    demand that meets two of them splits into several parts."""
-    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)
-                 .filter(lambda sizes: sum(sizes) <= 9))
+    """(g, c): a disjoint union of up to three random graphs on at most 9
+    vertices in all (one piece may take all 9), one isolated vertex
+    appended, and a demand c on the vertices that have a neighbor.  The
+    pieces may hold odd cycles, and a demand that meets two of them splits
+    into several parts."""
     edges, base = [], 0
-    for size in sizes:
+    for _ in range(draw(st.integers(1, 3))):
+        if base == 9:
+            break
+        size = draw(st.integers(1, 9 - base))
         edges += [(base + a, base + b) for a, b in itertools.combinations(range(size), 2)
                   if draw(st.booleans())]
         base += size
@@ -174,7 +192,7 @@ def split_demands(draw):
 
 @given(split_demands())
 @settings(max_examples=150, deadline=None)
-def test_gamma_of_matches_brute_force(case) -> None:
+def test_gamma_of_split_demands_match_brute_force(case) -> None:
     g, c = case
     res = gamma_of(g, c)
     covered = 0

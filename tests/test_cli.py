@@ -336,12 +336,6 @@ def test_certify_refuses_options_its_kind_ignores(capsys, argv, message) -> None
     assert err == f"error: {message}\n"
 
 
-def test_certify_gamma_default_q_misses_s(capsys) -> None:
-    code, out, _ = run(capsys, "certify", "5", "2", "--kind", "gamma", "--s", "1,2,3")
-    assert code == 0
-    assert "params    : k=2, m=5, q={4}, s={1,2,3}\n" in out
-
-
 def test_bounds_p_is_accepted_and_documented(capsys) -> None:
     # The benchmark passes --p with every invariant; only reg-power reads it.
     for inv in ("reg", "pd"):
