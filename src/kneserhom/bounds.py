@@ -18,9 +18,8 @@ from .config import DEFAULT_GUARDS, GuardExceeded, Guards
 from .graphs import (EdgeCapExceeded, Graph, closed_neighborhood, complement,
                      induced, induced_matching_number, is_cochordal,
                      matching_checks, neighborhood)
-from .kneser import (KneserGraph, build, domination_choice, dominating_w,
-                     double_star_cover, e_s_family, gamma_demand_family,
-                     spread, star_cover)
+from .kneser import (build, domination_choice, dominating_w, double_star_cover,
+                     e_s_family, gamma_demand_family, spread, star_cover)
 from .symmetry import orbit_roots
 
 
@@ -159,37 +158,43 @@ def _gamma(g: Graph, c: int, guards: Guards, nodes: int) -> tuple[SearchResult, 
     neighborhoods meet, and close that relation transitively.  A vertex
     covers demanded vertices of one part only, so the parts have disjoint
     coverer sets, a cover of c is a disjoint union of covers of its parts,
-    and gamma(c) is the sum of gamma(part).  Each part is searched on its
-    own, lowest vertex first, and the witness is the union of theirs.  On
-    a bipartite graph the two sides fall in separate parts."""
+    and gamma(c) is the sum of gamma(part); and adj[v] & c is adj[v] & part
+    for a coverer v, so the bound's max_cover is read off c.  Each part is
+    searched on its own, lowest vertex first, and the witness is the union
+    of theirs.  On a bipartite graph the two sides fall in separate parts."""
     if c & ~g.full_mask:
         raise ValueError("gamma_of: c mentions vertices outside the graph")
     adj = g.adj
-    # Adjacency is symmetric, so the vertices that cover u are its neighbors.
-    # tiers groups the demanded vertices by coverer count, fewest first: the
-    # lowest uncovered bit of the first tier that has one is the lowest-id
-    # uncovered vertex with the fewest coverers, the one branched on.
+    # A part grows from the lowest vertex left, each new demanded vertex and
+    # coverer walked once; an isolated vertex is a part of its own, so the
+    # lowest one raises first.  tiers groups the demanded vertices by coverer
+    # count, their degree as adjacency is symmetric, fewest first: the lowest
+    # uncovered bit of the first tier that has one is the lowest-id uncovered
+    # vertex with the fewest coverers, the one branched on.
     by_count: dict[int, int] = {}
-    for u in bit_indices(c):
-        if not adj[u]:
-            raise ValueError(f"gamma_of: vertex {u} has no neighbor; demand not coverable")
-        count = adj[u].bit_count()
-        by_count[count] = by_count.get(count, 0) | 1 << u
-    tiers = [by_count[count] for count in sorted(by_count)]
-    # A part is the closure of its lowest vertex: add the demanded vertices
-    # that its coverers cover until none is new.
     parts = []
     left = c
     while left:
-        part = frontier = left & -left
-        coverers = 0
-        while frontier:
-            fresh = neighborhood(g, frontier) & ~coverers
-            coverers |= fresh
-            frontier = neighborhood(g, fresh) & left & ~part
-            part |= frontier
+        part = fresh = left & -left
+        coverers = max_cover = 0
+        while fresh:
+            u = (fresh & -fresh).bit_length() - 1
+            fresh &= fresh - 1
+            if not adj[u]:
+                raise ValueError(f"gamma_of: vertex {u} has no neighbor; demand not coverable")
+            by_count[adj[u].bit_count()] = by_count.get(adj[u].bit_count(), 0) | 1 << u
+            new = adj[u] & ~coverers
+            coverers |= new
+            while new:
+                row = adj[(new & -new).bit_length() - 1] & c
+                new &= new - 1
+                if row.bit_count() > max_cover:
+                    max_cover = row.bit_count()
+                fresh |= row & ~part
+                part |= row
         left &= ~part
-        parts.append((part, max((adj[v] & part).bit_count() for v in bit_indices(coverers))))
+        parts.append((part, max_cover))
+    tiers = [by_count[count] for count in sorted(by_count)]
 
     def dfs(uncovered: int, depth: int, chosen: int) -> int | None:
         # A node is entered only when it is no leaf, has depth left and
@@ -292,12 +297,18 @@ def _maximal_independent_sets(g: Graph, guards: Guards,
             out.append(r)
             guards.check("max_search_nodes", len(out), "maximal independent set enumeration")
             return
-        pux = p | x
-        pivot = max(bit_indices(pux), key=lambda v: (nadj[v] & p).bit_count())
-        for v in bit_indices(p & ~nadj[pivot]):
-            bk(r | 1 << v, p & nadj[v], x & nadj[v])
-            p &= ~(1 << v)
-            x |= 1 << v
+        # pivot: the row of the first vertex of p | x with the most bits in p
+        pux, most = p | x, -1
+        while pux:
+            row = nadj[(pux & -pux).bit_length() - 1]
+            pux &= pux - 1
+            if (row & p).bit_count() > most:
+                most, pivot = (row & p).bit_count(), row
+        while todo := p & ~pivot:
+            bit = todo & -todo
+            row = nadj[bit.bit_length() - 1]
+            bk(r | bit, p & row, x & row)
+            p, x = p ^ bit, x | bit
 
     for r, _, earlier in roots:
         bk(1 << r, nadj[r] & ~earlier, nadj[r] & earlier)
@@ -335,16 +346,6 @@ def tau_of(g: Graph, guards: Guards = DEFAULT_GUARDS) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _edge_payload(kn: KneserGraph, edges) -> list:
-    out = []
-    for u, v in sorted(edges):
-        out.append({
-            "ids": [u, v],
-            "subsets": [subset_str(kn.subset_of(u)), subset_str(kn.subset_of(v))],
-        })
-    return out
-
-
 def certify_induced_matching(m: int, k: int, s: int | None = None,
                              guards: Guards = DEFAULT_GUARDS) -> BoundReport:
     """Certified induced matching of size C(2k,k), plus the exact induced
@@ -363,7 +364,9 @@ def certify_induced_matching(m: int, k: int, s: int | None = None,
         payload={
             "s": subset_str(s),
             "size": len(fam),
-            "edges": _edge_payload(kn, fam),
+            "edges": [{"ids": [u, v],
+                       "subsets": [subset_str(kn.subset_of(u)), subset_str(kn.subset_of(v))]}
+                      for u, v in sorted(fam)],
         },
         checks=(
             ("size_is_central_binomial", len(fam) == expected),

@@ -71,19 +71,19 @@ def automorphisms(adj) -> list[tuple[int, ...]]:
     two (m, k) with the same vertex count, or of one small (m, k), may
     coincide, and every walk pays for each generator it is handed.
 
-    A candidate is checked on the entries (v, u) of adj, both triangles,
-    so that no symmetry of adj is assumed: p is kept iff it permutes
-    0..n-1 and maps every entry to an entry.  That is enough.  A
-    permutation is injective on pairs, so it maps the finite entry set into
-    itself injectively, hence onto itself; and that is adj[p[v]] ==
-    p(adj[v]) for every v."""
+    The criterion is checked as it reads, row by row, with no symmetry of
+    adj assumed.  As p is injective, p(adj[v]) is the sum of 1 << p[u] over
+    the set bits u of adj[v], which are listed once for all candidates."""
     n = len(adj)
-    entries = [(v, u) for v, row in enumerate(adj) for u in bit_indices(row)]
+    rows = [bit_indices(row) for row in adj]
     identity = list(range(n))
-    return list(dict.fromkeys(
-        perm for perm in candidate_generators(n)
-        if sorted(perm) == identity
-        and all(adj[perm[v]] >> perm[u] & 1 for v, u in entries)))
+    kept = []
+    for perm in candidate_generators(n):
+        if sorted(perm) == identity:
+            image = [1 << x for x in perm]
+            if all(adj[perm[v]] == sum(map(image.__getitem__, rows[v])) for v in range(n)):
+                kept.append(perm)
+    return list(dict.fromkeys(kept))
 
 
 def _closure(size: int, maps):

@@ -29,6 +29,7 @@ from kneserhom.config import GuardExceeded, Guards
 from kneserhom.graphs import Graph, bit_indices
 from kneserhom.hochster import full_betti_oracle, pd_of, reg_of
 from kneserhom.kneser import build, gamma_demand_family
+from kneserhom.symmetry import orbit_roots
 
 from conftest import (FROZEN_TABLES, CountingGuards, brute_gamma,
                       brute_independent_domination, cycle_graph)
@@ -152,6 +153,19 @@ def test_gamma_of_rejects_uncoverable() -> None:
         gamma_of(g, 0b100)
     with pytest.raises(ValueError):
         gamma_of(g, 1 << 3)
+
+
+def test_gamma_of_names_the_lowest_isolated_vertex_before_any_search() -> None:
+    # live parts {0, 1} and {3, 4}; vertices 2 and 5 are isolated, one below
+    # the part {3, 4} and one above it.  With no search node allowed, the
+    # demand check still names vertex 2, so it runs before any search.
+    g = Graph.from_edges(6, [(0, 1), (3, 4)])
+    for c in (0b111111, 0b111100):
+        for guards in (Guards(), Guards(max_search_nodes=0)):
+            with pytest.raises(ValueError, match="vertex 2 has no neighbor"):
+                gamma_of(g, c, guards)
+    with pytest.raises(GuardExceeded):
+        gamma_of(g, 0b011011, Guards(max_search_nodes=0))
 
 
 @given(random_graphs())
@@ -298,6 +312,22 @@ def test_maximal_independent_sets_match_networkx(g: Graph) -> None:
                   for clique in nx.find_cliques(ref))
     # singleton roots: each set is found from its smallest vertex
     roots = [(v, 1 << v, (1 << v) - 1) for v in range(g.n)]
+    assert _maximal_independent_sets(g, Guards(), roots) == want
+
+
+@pytest.mark.parametrize("m", [5, 6, 7])
+def test_maximal_independent_sets_from_orbit_roots_match_networkx(m: int) -> None:
+    # The real roots, in place of one root per vertex: a set is reported
+    # when it holds the r and misses the earlier of some root.  H(m, 2) is
+    # vertex-transitive, so that is every set that holds vertex 0.
+    nx = pytest.importorskip("networkx")
+    g = build(m, 2).graph
+    roots = orbit_roots(g.adj)
+    ref = nx.complete_graph(g.n)
+    ref.remove_edges_from(g.edges())
+    want = sorted(s for s in (mask_of(v + 1 for v in clique) for clique in nx.find_cliques(ref))
+                  if any(s >> r & 1 and not s & earlier for r, _, earlier in roots))
+    assert want
     assert _maximal_independent_sets(g, Guards(), roots) == want
 
 

@@ -225,7 +225,8 @@ def test_mask_images_of_any_permutation_match_bit_by_bit_images(perm) -> None:
     assert all(images[w] == image(perm, w) for w in range(1 << n))
 
 
-@pytest.mark.parametrize("m,k", [(2, 1), (3, 1), (5, 1), (7, 1), (4, 2), (6, 3)])
+@pytest.mark.parametrize("m,k", [(2, 1), (3, 1), (5, 1), (7, 1), (4, 2), (6, 3), (10, 2),
+                                 (9, 4)])
 def test_candidates_of_kneser_graphs_are_verified_automorphisms(m: int, k: int) -> None:
     g = build(m, k).graph
     candidates = candidate_generators(g.n)
