@@ -175,11 +175,11 @@ def _gamma(g: Graph, c: int, guards: Guards, nodes: int) -> tuple[SearchResult, 
     parts = []
     left = c
     while left:
-        part = fresh = left & -left
-        coverers = max_cover = 0
-        while fresh:
+        part = left & -left
+        walked = coverers = max_cover = 0
+        while fresh := part & ~walked:
             u = (fresh & -fresh).bit_length() - 1
-            fresh &= fresh - 1
+            walked |= 1 << u
             if not adj[u]:
                 raise ValueError(f"gamma_of: vertex {u} has no neighbor; demand not coverable")
             by_count[adj[u].bit_count()] = by_count.get(adj[u].bit_count(), 0) | 1 << u
@@ -190,7 +190,6 @@ def _gamma(g: Graph, c: int, guards: Guards, nodes: int) -> tuple[SearchResult, 
                 new &= new - 1
                 if row.bit_count() > max_cover:
                     max_cover = row.bit_count()
-                fresh |= row & ~part
                 part |= row
         left &= ~part
         parts.append((part, max_cover))

@@ -80,8 +80,8 @@ def automorphisms(adj) -> list[tuple[int, ...]]:
     kept = []
     for perm in candidate_generators(n):
         if sorted(perm) == identity:
-            image = [1 << x for x in perm]
-            if all(adj[perm[v]] == sum(map(image.__getitem__, rows[v])) for v in range(n)):
+            image = [1 << x for x in perm].__getitem__
+            if all(adj[pv] == sum(map(image, row)) for pv, row in zip(perm, rows)):
                 kept.append(perm)
     return list(dict.fromkeys(kept))
 
