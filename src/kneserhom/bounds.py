@@ -6,10 +6,16 @@ domination) is re-verified on the concrete graph before a certificate is
 issued.  A Certificate cannot exist with a failed check: construction
 raises instead.  Reports keep lower <= upper as a hard invariant and mark
 exactness only with a stated justification.
+
+The exact i(G) and gamma come from one covering search, which branches on
+the lowest uncovered vertex (`_covering_search`): gamma covers with open
+neighborhoods, i(G) with closed ones and bars N[v] once v is chosen.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -144,15 +150,50 @@ class SearchResult(NamedTuple):
 
 
 def gamma_of(g: Graph, c: int, guards: Guards = DEFAULT_GUARDS) -> SearchResult:
-    """Minimum size of a vertex set X with c contained in N(X), by iterative
-    deepening on each part of c (`_gamma`); the witness mask attains it.
-    Raises if some demanded vertex has no neighbor at all."""
-    return _gamma(g, c, guards, 0)[0]
+    """Minimum size of a vertex set X with c contained in N(X), by the
+    covering search on each part of c (`_gamma`); the witness mask attains
+    it.  Raises if some demanded vertex has no neighbor at all."""
+    return _gamma(g, c, _counter(guards, "gamma_of"))
 
 
-def _gamma(g: Graph, c: int, guards: Guards, nodes: int) -> tuple[SearchResult, int]:
-    """`gamma_of`, counting its search nodes against max_search_nodes on top
-    of the nodes already spent; returns the result and the new count.
+def _counter(guards: Guards, context: str) -> Callable[[], None]:
+    """One max_search_nodes total: each call counts one node more, and a
+    refusal names context."""
+    nodes = itertools.count(1)
+    return lambda: guards.check("max_search_nodes", next(nodes), context)
+
+
+def _covering_search(rows: Sequence[int], keep: Sequence[int], max_cover: int,
+                     count: Callable[[], None]):
+    """search(uncovered, allowed, depth, chosen): chosen with at most depth
+    vertices of allowed added whose rows cover uncovered, or None; choosing
+    v leaves allowed & keep[v].  Rows are symmetric, so the vertices that
+    can cover u are rows[u] & allowed.  A child is tested in the parent's
+    loop, entered only when it is no leaf and ceil(|rest| / max_cover) <=
+    its depth, so every node entered counts."""
+
+    def search(uncovered: int, allowed: int, depth: int, chosen: int) -> int | None:
+        count()
+        depth -= 1
+        todo = rows[(uncovered & -uncovered).bit_length() - 1] & allowed
+        while todo:
+            bit = todo & -todo
+            todo ^= bit
+            v = bit.bit_length() - 1
+            rest = uncovered & ~rows[v]
+            if rest == 0:
+                return chosen | bit
+            if depth and rest.bit_count() <= depth * max_cover:
+                got = search(rest, allowed & keep[v], depth, chosen | bit)
+                if got is not None:
+                    return got
+        return None
+
+    return search
+
+
+def _gamma(g: Graph, c: int, count: Callable[[], None]) -> SearchResult:
+    """`gamma_of`, each search node counted by count.
 
     Split lemma: put two demanded vertices in one part when their
     neighborhoods meet, and close that relation transitively.  A vertex
@@ -160,18 +201,15 @@ def _gamma(g: Graph, c: int, guards: Guards, nodes: int) -> tuple[SearchResult, 
     coverer sets, a cover of c is a disjoint union of covers of its parts,
     and gamma(c) is the sum of gamma(part); and adj[v] & c is adj[v] & part
     for a coverer v, so the bound's max_cover is read off c.  Each part is
-    searched on its own, lowest vertex first, and the witness is the union
-    of theirs.  On a bipartite graph the two sides fall in separate parts."""
+    searched on its own by the deepening covering search, and the witness
+    is the union of theirs.  On a bipartite graph the two sides fall in
+    separate parts."""
     if c & ~g.full_mask:
         raise ValueError("gamma_of: c mentions vertices outside the graph")
     adj = g.adj
     # A part grows from the lowest vertex left, each new demanded vertex and
     # coverer walked once; an isolated vertex is a part of its own, so the
-    # lowest one raises first.  tiers groups the demanded vertices by coverer
-    # count, their degree as adjacency is symmetric, fewest first: the lowest
-    # uncovered bit of the first tier that has one is the lowest-id uncovered
-    # vertex with the fewest coverers, the one branched on.
-    by_count: dict[int, int] = {}
+    # lowest one raises first, before any search node.
     parts = []
     left = c
     while left:
@@ -182,7 +220,6 @@ def _gamma(g: Graph, c: int, guards: Guards, nodes: int) -> tuple[SearchResult, 
             walked |= 1 << u
             if not adj[u]:
                 raise ValueError(f"gamma_of: vertex {u} has no neighbor; demand not coverable")
-            by_count[adj[u].bit_count()] = by_count.get(adj[u].bit_count(), 0) | 1 << u
             new = adj[u] & ~coverers
             coverers |= new
             while new:
@@ -193,43 +230,21 @@ def _gamma(g: Graph, c: int, guards: Guards, nodes: int) -> tuple[SearchResult, 
                 part |= row
         left &= ~part
         parts.append((part, max_cover))
-    tiers = [by_count[count] for count in sorted(by_count)]
-
-    def dfs(uncovered: int, depth: int, chosen: int) -> int | None:
-        # A node is entered only when it is no leaf, has depth left and
-        # passes the bound, so every call counts.
-        nonlocal nodes
-        nodes += 1
-        guards.check("max_search_nodes", nodes, "gamma_of")
-        tier = next(t for t in tiers if t & uncovered) & uncovered
-        depth -= 1
-        todo = adj[(tier & -tier).bit_length() - 1]
-        while todo:
-            bit = todo & -todo
-            todo ^= bit
-            rest = uncovered & ~adj[bit.bit_length() - 1]
-            if rest == 0:
-                return chosen | bit
-            # ceil(|rest| / max_cover) <= depth, never at depth 0.
-            if depth and rest.bit_count() <= depth * max_cover:
-                got = dfs(rest, depth, chosen | bit)
-                if got is not None:
-                    return got
-        return None
-
+    keep = [-1] * g.n
     witness = 0
     for part, max_cover in parts:
+        search = _covering_search(adj, keep, max_cover, count)
         # The first depth is the bound itself, so the root always passes it.
         depth = _ceil_div(part.bit_count(), max_cover)
-        while (got := dfs(part, depth, 0)) is None:
+        while (got := search(part, -1, depth, 0)) is None:
             depth += 1
         witness |= got
-    return SearchResult(witness.bit_count(), witness), nodes
+    return SearchResult(witness.bit_count(), witness)
 
 
 def independent_domination_number(g: Graph, guards: Guards = DEFAULT_GUARDS) -> SearchResult:
-    """i(G): minimum size of an independent dominating set (equivalently, the
-    smallest maximal independent set), by iterative deepening.
+    """i(G), the minimum size of an independent dominating set (equivalently,
+    the smallest maximal independent set), by the deepening covering search.
 
     Each depth starts once from each root (r, orbit, earlier) of
     `symmetry.orbit_roots`, which states why that suffices: r is chosen,
@@ -239,52 +254,30 @@ def independent_domination_number(g: Graph, guards: Guards = DEFAULT_GUARDS) -> 
     i(G) succeeds and depth i(G) does."""
     if g.n == 0:
         return SearchResult(0, 0)
-    adj = g.adj
     full = g.full_mask
-    closed = [adj[v] | 1 << v for v in range(g.n)]
+    closed = [row | 1 << v for v, row in enumerate(g.adj)]
     max_closed = max(row.bit_count() for row in closed)
-    nodes = 0
-
-    def dfs(chosen: int, dominated: int, allowed: int, depth: int) -> int | None:
-        # The caller enters a child only when it dominates not all, has
-        # depth left and passes the bound, so every call counts.
-        nonlocal nodes
-        nodes += 1
-        guards.check("max_search_nodes", nodes, "independent_domination_number")
-        undom = full & ~dominated
-        depth -= 1
-        todo = closed[(undom & -undom).bit_length() - 1] & allowed
-        while todo:
-            bit = todo & -todo
-            todo ^= bit
-            row = closed[bit.bit_length() - 1]
-            dom = dominated | row
-            if dom == full:
-                return chosen | bit
-            # ceil(|undominated| / max_closed) <= depth, never at depth 0.
-            if depth and (full & ~dom).bit_count() <= depth * max_closed:
-                got = dfs(chosen | bit, dom, allowed & ~row, depth)
-                if got is not None:
-                    return got
-        return None
-
-    roots = orbit_roots(adj)
+    search = _covering_search(closed, [~row for row in closed], max_closed,
+                              _counter(guards, "independent_domination_number"))
+    roots = orbit_roots(g.adj)
     depth = _ceil_div(g.n, max_closed)
     while True:
         for r, _, earlier in roots:
-            if closed[r] == full:
+            rest = full & ~closed[r]
+            if rest == 0:
                 return SearchResult(1, 1 << r)
-            if (full & ~closed[r]).bit_count() <= (depth - 1) * max_closed:
-                got = dfs(1 << r, closed[r], full & ~closed[r] & ~earlier, depth - 1)
+            if rest.bit_count() <= (depth - 1) * max_closed:
+                got = search(rest, rest & ~earlier, depth - 1, 1 << r)
                 if got is not None:
                     return SearchResult(got.bit_count(), got)
         depth += 1
 
 
-def _maximal_independent_sets(g: Graph, guards: Guards,
+def _maximal_independent_sets(g: Graph, count: Callable[[], None],
                               roots: list[tuple[int, int, int]]) -> list[int]:
     """The maximal independent sets of g that hold the r and miss the
-    earlier of some root (r, orbit, earlier) in roots, sorted."""
+    earlier of some root (r, orbit, earlier) in roots, sorted; count is
+    called once per set listed."""
     # Bron-Kerbosch with pivoting on the complement adjacency.  A root starts
     # with r in R and earlier in X, so a set that some vertex of earlier
     # would extend is never reported.
@@ -294,7 +287,7 @@ def _maximal_independent_sets(g: Graph, guards: Guards,
     def bk(r: int, p: int, x: int) -> None:
         if p == 0 and x == 0:
             out.append(r)
-            guards.check("max_search_nodes", len(out), "maximal independent set enumeration")
+            count()
             return
         # pivot: the row of the first vertex of p | x with the most bits in p
         pux, most = p | x, -1
@@ -324,7 +317,7 @@ def tau_of(g: Graph, guards: Guards = DEFAULT_GUARDS) -> int:
     some root of `symmetry.orbit_roots`.  Each covering search runs once per
     part of C (`_gamma`), so once per side of a bipartite graph.  One
     max_search_nodes count covers the sets listed and the nodes of every
-    covering search."""
+    covering search, and a refusal names tau_of."""
     live = 0
     for v in range(g.n):
         if g.adj[v]:
@@ -332,12 +325,9 @@ def tau_of(g: Graph, guards: Guards = DEFAULT_GUARDS) -> int:
     if live == 0:
         return 0
     g0 = induced(g, live)
-    sets = _maximal_independent_sets(g0, guards, orbit_roots(g0.adj))
-    best, nodes = 0, len(sets)
-    for c in sets:
-        got, nodes = _gamma(g0, c, guards, nodes)
-        best = max(best, got.value)
-    return best
+    count = _counter(guards, "tau_of")
+    sets = _maximal_independent_sets(g0, count, orbit_roots(g0.adj))
+    return max(_gamma(g0, c, count).value for c in sets)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ environment variables or the corresponding CLI flags.  What each counts:
   boundary matrix in `reduced_homology_dims`;
 - max_search_nodes: the nodes of one exact search, and the families or
   sets an exhaustive check lists; `tau_of` counts its maximal independent
-  sets and the nodes of all its covering searches as one total.
+  sets and the nodes of all its covering searches as one total, and a
+  refusal names `tau_of` whichever part runs out.
 """
 
 from __future__ import annotations

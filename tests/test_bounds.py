@@ -234,18 +234,38 @@ def test_gamma_of_full_right_side_cube() -> None:
 
 
 def test_gamma_of_work_is_pinned() -> None:
-    # Degrees 2, 3 and 4, so the demanded vertices fall in three coverer
-    # tiers.  Witnesses and node counts were pinned from the branch choice
-    # by a min over the uncovered vertices, which the tiers replaced.
+    # Degrees 2, 3 and 4: the search branches on the lowest uncovered
+    # vertex whatever its degree.
     g = Graph.from_edges(10, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (2, 5),
                               (3, 6), (4, 7), (5, 8), (6, 9), (7, 9), (8, 9),
                               (1, 9), (5, 6)])
-    for c, value, witness, nodes in ((g.full_mask, 4, 0b1000000111, 13),
+    for c, value, witness, nodes in ((g.full_mask, 4, 0b1000000111, 14),
                                      (0b1111100000, 2, 0b1001000000, 2),
                                      (0b1010101010, 2, 0b0001010000, 3)):
         guards = CountingGuards()
         assert gamma_of(g, c, guards) == (value, witness)
         assert guards.counts == {"gamma_of": nodes}
+
+
+@pytest.mark.parametrize(("m", "k", "value", "witness", "nodes"), [
+    (5, 2, 3, 0xb, 6),
+    (6, 2, 3, 0xb, 7),
+    (7, 3, 4, 0x413, 11),
+    (8, 3, 4, 0x413, 70),
+    (9, 4, 5, 0x800008023, 59),
+])
+def test_gamma_of_default_demand_work_is_pinned(m, k, value, witness, nodes) -> None:
+    # The demand `certify --kind gamma` searches by default: q the lowest
+    # k-1 elements, s the next k+1.
+    kn = build(m, k)
+    demand, _ = gamma_demand_family(kn, mask_of(range(1, k)), mask_of(range(k, 2 * k + 1)))
+    guards = CountingGuards()
+    assert gamma_of(kn.graph, demand, guards) == (value, witness)
+    assert guards.counts == {"gamma_of": nodes}
+    assert gamma_of(kn.graph, demand, Guards(max_search_nodes=nodes)).value == value
+    with pytest.raises(GuardExceeded) as exc:
+        gamma_of(kn.graph, demand, Guards(max_search_nodes=nodes - 1))
+    assert (exc.value.guard, exc.value.needed) == ("max_search_nodes", nodes)
 
 
 def test_certify_induced_matching_refuses_a_non_edge(monkeypatch) -> None:
@@ -312,7 +332,7 @@ def test_maximal_independent_sets_match_networkx(g: Graph) -> None:
                   for clique in nx.find_cliques(ref))
     # singleton roots: each set is found from its smallest vertex
     roots = [(v, 1 << v, (1 << v) - 1) for v in range(g.n)]
-    assert _maximal_independent_sets(g, Guards(), roots) == want
+    assert _maximal_independent_sets(g, lambda: None, roots) == want
 
 
 @pytest.mark.parametrize("m", [5, 6, 7])
@@ -328,7 +348,21 @@ def test_maximal_independent_sets_from_orbit_roots_match_networkx(m: int) -> Non
     want = sorted(s for s in (mask_of(v + 1 for v in clique) for clique in nx.find_cliques(ref))
                   if any(s >> r & 1 and not s & earlier for r, _, earlier in roots))
     assert want
-    assert _maximal_independent_sets(g, Guards(), roots) == want
+    assert _maximal_independent_sets(g, lambda: None, roots) == want
+
+
+@pytest.mark.parametrize(("m", "k", "value", "witness", "nodes"), [
+    (5, 2, 6, 0xe0007, 13),
+    (6, 2, 6, 0x38000007, 51),
+    (7, 2, 6, 0x38000000007, 137),
+    (8, 2, 6, 0xe0000000000007, 252),
+    (9, 2, 6, 0xe00000000000000007, 403),
+    (7, 3, 14, 0x2010a0442108814201, 13),
+])
+def test_independent_domination_work_is_pinned(m, k, value, witness, nodes) -> None:
+    guards = CountingGuards()
+    assert independent_domination_number(build(m, k).graph, guards) == (value, witness)
+    assert guards.counts == {"independent_domination_number": nodes}
 
 
 def test_tau_examples() -> None:
@@ -355,9 +389,13 @@ def test_searches_fit_a_thousand_nodes() -> None:
     for m, nodes in ((8, 768), (7, 543)):
         g = build(m, 2).graph
         assert tau_of(g, Guards(max_search_nodes=nodes)) == 4
-        with pytest.raises(GuardExceeded) as exc:
+        with pytest.raises(GuardExceeded, match="^tau_of: ") as exc:
             tau_of(g, Guards(max_search_nodes=nodes - 1))
         assert (exc.value.guard, exc.value.needed) == ("max_search_nodes", nodes)
+    # At 100 the refusal comes while the 155 sets of H(7,2) are still
+    # being listed, and it names tau_of too.
+    with pytest.raises(GuardExceeded, match="^tau_of: "):
+        tau_of(g, Guards(max_search_nodes=100))
 
 
 def test_tau_below_regularity() -> None:
