@@ -14,7 +14,6 @@ neighborhoods, i(G) with closed ones and bars N[v] once v is chosen.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -108,7 +107,8 @@ def reg_bounds(m: int, k: int) -> BoundReport:
         upper = lower
         anchors.append("ladder graph: lower and upper bounds coincide")
     else:
-        upper = min(binom(m, k), (2 * binom(m, k) + 1) // 3)
+        # Below the star cover's C(m, k): (2C + 1) // 3 < C for C >= 2.
+        upper = (2 * binom(m, k) + 1) // 3
         anchors.append("regularity upper bound via co-chordal star cover")
         anchors.append("regularity upper bound via spanning-path edge count")
     exact = None
@@ -153,14 +153,7 @@ def gamma_of(g: Graph, c: int, guards: Guards = DEFAULT_GUARDS) -> SearchResult:
     """Minimum size of a vertex set X with c contained in N(X), by the
     covering search on each part of c (`_gamma`); the witness mask attains
     it.  Raises if some demanded vertex has no neighbor at all."""
-    return _gamma(g, c, _counter(guards, "gamma_of"))
-
-
-def _counter(guards: Guards, context: str) -> Callable[[], None]:
-    """One max_search_nodes total: each call counts one node more, and a
-    refusal names context."""
-    nodes = itertools.count(1)
-    return lambda: guards.check("max_search_nodes", next(nodes), context)
+    return _gamma(g, c, guards.counter("gamma_of"))
 
 
 def _covering_search(rows: Sequence[int], keep: Sequence[int], max_cover: int,
@@ -258,7 +251,7 @@ def independent_domination_number(g: Graph, guards: Guards = DEFAULT_GUARDS) -> 
     closed = [row | 1 << v for v, row in enumerate(g.adj)]
     max_closed = max(row.bit_count() for row in closed)
     search = _covering_search(closed, [~row for row in closed], max_closed,
-                              _counter(guards, "independent_domination_number"))
+                              guards.counter("independent_domination_number"))
     roots = orbit_roots(g.adj)
     depth = _ceil_div(g.n, max_closed)
     while True:
@@ -325,7 +318,7 @@ def tau_of(g: Graph, guards: Guards = DEFAULT_GUARDS) -> int:
     if live == 0:
         return 0
     g0 = induced(g, live)
-    count = _counter(guards, "tau_of")
+    count = guards.counter("tau_of")
     sets = _maximal_independent_sets(g0, count, orbit_roots(g0.adj))
     return max(_gamma(g0, c, count).value for c in sets)
 
@@ -469,7 +462,7 @@ def certify_domination(m: int, k: int, s: int | None = None,
             "size": w.bit_count(),
             "vertices": [
                 {"id": v, "subset": subset_str(kn.subset_of(v)),
-                 "side": kn.side_of(v).value}
+                 "side": kn.side_of(v)}
                 for v in bit_indices(w)
             ],
             **params_extra,

@@ -13,14 +13,8 @@ this path shares nothing with the brute-force oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .combinatorics import binom, check_mk, n_exact
-
-
-@lru_cache(maxsize=None)
-def _n_exact_cached(m: int, q: int, r: int, t: int) -> int:
-    return n_exact(m, q, r, t)
 
 
 def _strand(m: int, k: int, i_max: int) -> list[int]:
@@ -38,7 +32,7 @@ def _strand(m: int, k: int, i_max: int) -> list[int]:
     ts = range(k, m - k + 1)
     rows = min(i_max, binom(m - k, k))
     left = [[binom(binom(t, k), r) * binom(m, t) for t in ts] for r in range(1, rows + 1)]
-    right = [[_n_exact_cached(m, s, m - k, t) for t in ts] for s in range(1, rows + 1)]
+    right = [[n_exact(m, s, m - k, t) for t in ts] for s in range(1, rows + 1)]
     last = min(i_max, 2 * rows - 1)
     values = [sum(a * b for r in range(max(0, i - rows), min(i, rows))
                   for a, b in zip(left[r], right[i - 1 - r]))

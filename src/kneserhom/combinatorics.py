@@ -10,6 +10,7 @@ integers).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from math import comb
 
@@ -113,6 +114,7 @@ def kneser_sides(m: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(left), tuple([full ^ a for a in reversed(left)])
 
 
+@functools.cache
 def n_exact(m: int, q: int, r: int, t: int) -> int:
     """Number of q-element families of r-subsets of [m] whose common
     intersection has size exactly t (the intersection fixed to a given

@@ -15,15 +15,17 @@ environment variables or the corresponding CLI flags.  What each counts:
 - max_matrix_cells: rows times columns of each matrix ranked: a Morse
   matrix (critical cells against critical cells) in a full Betti table, a
   boundary matrix in `reduced_homology_dims`;
-- max_search_nodes: the nodes of one exact search, and the families or
-  sets an exhaustive check lists; `tau_of` counts its maximal independent
-  sets and the nodes of all its covering searches as one total, and a
-  refusal names `tau_of` whichever part runs out.
+- max_search_nodes: the nodes of one exact search, on one `Guards.counter`,
+  and the families or sets an exhaustive check lists; `tau_of` counts its
+  maximal independent sets and the nodes of all its covering searches on
+  one counter, and a refusal names `tau_of` whichever part runs out.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
+from collections.abc import Callable
 from dataclasses import dataclass, fields, replace
 
 ENV_PREFIX = "KNESERHOM_"
@@ -94,6 +96,12 @@ class Guards:
         limit = getattr(self, guard)
         if needed > limit:
             raise GuardExceeded(guard, needed, limit, context)
+
+    def counter(self, context: str) -> Callable[[], None]:
+        """One max_search_nodes total: each call counts one node more and
+        checks it with `check`, and a refusal names context."""
+        nodes = itertools.count(1)
+        return lambda: self.check("max_search_nodes", next(nodes), context)
 
     def with_overrides(self, **kwargs) -> "Guards":
         values = {k: v for k, v in kwargs.items() if v is not None}

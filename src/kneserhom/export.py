@@ -45,7 +45,7 @@ def to_singular(kn: KneserGraph) -> str:
 def _vertices(kn: KneserGraph) -> list[tuple[int, str, list[str]]]:
     """(id, side letter, subset elements as strings) of every vertex, by id."""
     names = [str(e) for e in range(1, kn.m + 1)]
-    return [(vid, kn.side_of(vid).value, [names[i] for i in bit_indices(mask)])
+    return [(vid, kn.side_of(vid), [names[i] for i in bit_indices(mask)])
             for vid, mask in enumerate(kn.sides[0] + kn.sides[1])]
 
 

@@ -9,16 +9,10 @@ sequences are sorted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import NamedTuple
 
 from .combinatorics import bit_indices
 from .config import DEFAULT_GUARDS, Guards
-
-
-class Side(Enum):
-    LEFT = "L"
-    RIGHT = "R"
 
 
 @dataclass(frozen=True)
@@ -138,18 +132,6 @@ def closed_neighborhood(g: Graph, x: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Chordality:
-    """Outcome of a chordality test; when chordal it carries a perfect
-    elimination order the caller can re-verify independently."""
-
-    chordal: bool
-    peo: tuple[int, ...] | None = None
-
-    def __bool__(self) -> bool:
-        return self.chordal
-
-
 def _mcs_order(g: Graph) -> list[int]:
     # Maximum cardinality search; ties go to the lowest id.
     weight = [0] * g.n
@@ -168,9 +150,13 @@ def _mcs_order(g: Graph) -> list[int]:
     return order
 
 
-def _is_peo(g: Graph, peo) -> bool:
-    # Each vertex's later neighbours must all be adjacent to the earliest
-    # of them.
+def is_chordal(g: Graph) -> bool:
+    """Whether g is chordal, by maximum cardinality search.  The reversed
+    MCS order is a perfect elimination order exactly when g is chordal
+    (Tarjan and Yannakakis, SIAM J. Comput. 13, 1984), so a failed check of
+    that one order is a proof of non-chordality: in it, each vertex's later
+    neighbours must all be adjacent to the earliest of them."""
+    peo = _mcs_order(g)[::-1]
     pos = [0] * g.n
     for i, v in enumerate(peo):
         pos[v] = i
@@ -184,19 +170,8 @@ def _is_peo(g: Graph, peo) -> bool:
     return True
 
 
-def is_chordal(g: Graph) -> Chordality:
-    """Chordality via maximum cardinality search.  The reversed MCS order
-    is a perfect elimination order exactly when g is chordal (Tarjan and
-    Yannakakis, SIAM J. Comput. 13, 1984), so a failed check of that one
-    order is a proof of non-chordality."""
-    peo = tuple(reversed(_mcs_order(g)))
-    if _is_peo(g, peo):
-        return Chordality(True, peo=peo)
-    return Chordality(False)
-
-
 def is_cochordal(g: Graph) -> bool:
-    return is_chordal(complement(g)).chordal
+    return is_chordal(complement(g))
 
 
 # ---------------------------------------------------------------------------
@@ -270,19 +245,18 @@ def induced_matching_number(g: Graph, guards: Guards = DEFAULT_GUARDS,
         raise EdgeCapExceeded(f"{ne} edges, above the search cap max_edges = "
                               f"{max_edges}")
     conflict = _conflict_rows(g, edges)
+    count = guards.counter("induced_matching_number")
     best = 0
     best_set = 0
-    nodes = 0
 
     def expand(cand: int, size: int, chosen: int) -> None:
-        nonlocal best, best_set, nodes
+        nonlocal best, best_set
         if size > best:
             best, best_set = size, chosen
         while cand:
             if size + cand.bit_count() <= best:
                 return
-            nodes += 1
-            guards.check("max_search_nodes", nodes, "induced_matching_number")
+            count()
             low = cand & -cand
             cand ^= low
             expand(cand & ~conflict[low.bit_length() - 1], size + 1, chosen | low)

@@ -35,7 +35,7 @@ entry at index 0 is the (-1)-dimensional homology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb, gcd, lcm
 
 from . import morse
@@ -45,20 +45,36 @@ from .graphs import Graph
 from .symmetry import orbit_roots, root_stabiliser_orbits, subset_orbits
 
 
+# Miller-Rabin on the primes up to 41 decides primality below _PRIME_BOUND
+# (Sorenson and Webster, Math. Comp. 86, 2017); the primes up to 37 fail at
+# 318,665,857,834,031,151,167,461, a strong pseudoprime to all of them.
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    """Miller-Rabin for p < _PRIME_BOUND: with p - 1 = d 2^s, d odd, each
+    base b must have b^d = 1 or b^(d 2^i) = -1 mod p for some i < s."""
+    if p < 2 or any(p % b == 0 for b in _BASES):
+        return p in _BASES
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    for b in _BASES:
+        x = pow(b, (p - 1) >> s, p)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == p - 1:
+                break
+            x = x * x % p
+        else:
             return False
-        d += 1
     return True
 
 
 def _check_char(field_char: int) -> None:
-    if field_char != 0 and not _is_prime(field_char):
-        raise ValueError(f"field characteristic must be 0 or a prime, got {field_char}")
+    if not (field_char == 0 or 0 < field_char < _PRIME_BOUND and _is_prime(field_char)):
+        raise ValueError(f"field characteristic must be 0 or a prime below "
+                         f"{_PRIME_BOUND}, got {field_char}")
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +373,7 @@ class BettiTable:
 
     n: int
     field_char: int
-    entries: dict = field(compare=True)
+    entries: dict
 
     def __post_init__(self):
         for (i, j), v in self.entries.items():

@@ -25,7 +25,7 @@ from operator import and_
 from .combinatorics import (binom, bit_indices, check_mk, elements_of,
                             kneser_sides, mask_of, subset_str)
 from .config import DEFAULT_GUARDS, GuardExceeded, Guards
-from .graphs import Graph, Side
+from .graphs import Graph
 
 Edge = tuple[int, int]
 EdgeSet = tuple[Edge, ...]
@@ -65,8 +65,8 @@ class KneserGraph:
         right, i = divmod(vid, self.n_left)
         return self.sides[right][i]
 
-    def side_of(self, vid: int) -> Side:
-        return Side.LEFT if vid < self.n_left else Side.RIGHT
+    def side_of(self, vid: int) -> str:
+        return "L" if vid < self.n_left else "R"
 
     @property
     def left_mask(self) -> int:
@@ -148,13 +148,10 @@ def e_s_family(kn: KneserGraph, s: int) -> EdgeSet:
 
 
 def star_cover(kn: KneserGraph) -> tuple[EdgeSet, ...]:
-    """One star per left vertex; the C(m,k) stars partition the edge set."""
+    """One sorted star per left vertex; the C(m,k) stars partition the edges."""
     g = kn.graph
-    out = []
-    for ra in range(kn.n_left):
-        member = tuple(sorted((ra, rb) for rb in bit_indices(g.adj[ra])))
-        out.append(member)
-    return tuple(out)
+    return tuple([tuple([(ra, rb) for rb in bit_indices(g.adj[ra])])
+                  for ra in range(kn.n_left)])
 
 
 def double_star_cover(kn: KneserGraph, t: int) -> tuple[EdgeSet, ...]:

@@ -26,7 +26,7 @@ Permutations are tuples p of vertex ids, p[v] the image of v.
 
 from __future__ import annotations
 
-from .combinatorics import binom, bit_indices, kneser_sides
+from .combinatorics import binom, bit_indices, k_subsets
 
 
 def _kneser_parameters(n: int):
@@ -47,21 +47,21 @@ def _kneser_parameters(n: int):
 def candidate_generators(n: int) -> list[tuple[int, ...]]:
     """For each H(m, k) on n vertices: the transposition (1 2), the cycle
     (1 2 ... m) and the side swap, as permutations of colex vertex ids.
-    Each lifts a map of subset masks, sending every vertex to the same
-    side, or, for the swap, to the other one."""
+
+    The right side is the left one complemented, in reverse, so right id
+    n-1-v holds the complement of left id v's subset.  A permutation of [m]
+    commutes with complementing, so its lift p has p[n-1-v] = n-1-p[v], and
+    the side swap is the reversal v -> n-1-v."""
     out = []
     for m, k in _kneser_parameters(n):
         full = (1 << m) - 1
-        sides = kneser_sides(m, k)
-        # A mask's index among the masks of its size is its index on its side.
-        rank = {a: i for side in sides for i, a in enumerate(side)}
-        half = len(sides[0])
-        for ground, swap_sides in ((lambda a: a ^ 0b11 if (a ^ a >> 1) & 1 else a, False),
-                                   (lambda a: (a << 1 | a >> (m - 1)) & full, False),
-                                   (lambda a: full ^ a, True)):
-            # a list first, as in `kneser_sides`, so the tuple is not resized
-            out.append(tuple([rank[ground(a)] + (half if right != swap_sides else 0)
-                              for right, side in enumerate(sides) for a in side]))
+        left = [*k_subsets(m, k)]
+        rank = {a: i for i, a in enumerate(left)}
+        for ground in (lambda a: a ^ 0b11 if (a ^ a >> 1) & 1 else a,
+                       lambda a: (a << 1 | a >> (m - 1)) & full):
+            image = [rank[ground(a)] for a in left]
+            out.append(tuple(image + [n - 1 - x for x in reversed(image)]))
+        out.append(tuple(range(n - 1, -1, -1)))
     return out
 
 

@@ -223,6 +223,17 @@ def test_betti_table_characteristic_zero(capsys) -> None:
     assert t2["char"] == 2 and t0["char"] == 0
 
 
+@pytest.mark.parametrize("char,code", [("2305843009213693951", 0), ("561", 2),
+                                       ("3317044064679887385961981", 2)])
+def test_betti_table_checks_the_characteristic(capsys, char, code) -> None:
+    # 2^61 - 1 is prime; 561 = 3 * 11 * 17; the last is the bound of the
+    # primality test, refused with the bound named
+    got, out, err = run(capsys, "betti-table", "3", "1", "--char", char)
+    assert got == code
+    assert (f"characteristic {char}\n" in out) if code == 0 else \
+        f"prime below 3317044064679887385961981, got {char}" in err
+
+
 def test_betti_table_refuses_h62(capsys) -> None:
     # 2^30 vertex subsets against max_subsets 1,200,000
     code, _, err = run(capsys, "betti-table", "6", "2")
@@ -426,20 +437,11 @@ def test_text_and_json_forms_have_their_own_entries(capsys, tmp_path) -> None:
     assert len(list(tmp_path.iterdir())) == 2
 
 
-def test_cache_key_includes_package_version(capsys, tmp_path,
-                                            monkeypatch) -> None:
-    args = ("betti-table", "2", "1", "--cache-dir", str(tmp_path))
-    _, out1, _ = run(capsys, *args)
-    monkeypatch.setattr(kneserhom.cli, "__version__", "0.0.0+other")
-    _, out2, _ = run(capsys, *args)
-    assert out1 == out2
-    assert len(list(tmp_path.iterdir())) == 2
-
-
-def test_cache_key_includes_the_source(tmp_path) -> None:
-    # A copy of the package with one byte of cli.py changed misses the
-    # entry the unchanged copy wrote, and prints its own text.  The source
-    # digest is taken once per process, so each run is a fresh interpreter.
+def copied_package(tmp_path):
+    """(package dir, betti_table, cache dir) for a copy of the package under
+    tmp_path: betti_table() prints `betti-table 3 1` from the copy, through
+    the cache.  The source digest is taken once per process, so each run is
+    a fresh interpreter."""
     src = tmp_path / "src"
     shutil.copytree(Path(kneserhom.cli.__file__).parent, src / "kneserhom",
                     ignore=shutil.ignore_patterns("__pycache__"))
@@ -454,9 +456,30 @@ def test_cache_key_includes_the_source(tmp_path) -> None:
         assert (proc.returncode, proc.stderr) == (0, "")
         return proc.stdout
 
+    return src / "kneserhom", betti_table, cache
+
+
+def test_cache_key_includes_package_version(tmp_path) -> None:
+    # __version__ is set in __init__.py, which the source digest hashes: a
+    # copy with it bumped misses the entry the unchanged copy wrote, and
+    # prints the same text.
+    package, betti_table, cache = copied_package(tmp_path)
+    fresh = betti_table()
+    init = package / "__init__.py"
+    source = init.read_text()
+    assert source.count('__version__ = "') == 1
+    init.write_text(source.replace('__version__ = "', '__version__ = "9'))
+    assert betti_table() == fresh
+    assert len(list(cache.iterdir())) == 2
+
+
+def test_cache_key_includes_the_source(tmp_path) -> None:
+    # A copy of the package with one byte of cli.py changed misses the
+    # entry the unchanged copy wrote, and prints its own text.
+    package, betti_table, cache = copied_package(tmp_path)
     fresh = betti_table()
     assert betti_table() == fresh and len(list(cache.iterdir())) == 1
-    cli = src / "kneserhom" / "cli.py"
+    cli = package / "cli.py"
     source = cli.read_bytes()
     assert source.count(b'"pd  = ') == 1
     cli.write_bytes(source.replace(b'"pd  = ', b'"pd  : '))

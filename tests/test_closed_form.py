@@ -64,7 +64,6 @@ def test_strand_work_stops_growing_with_i_max(monkeypatch, m: int, k: int) -> No
     monkeypatch.setattr(closed_form, "n_exact", counting)
     d = binom(m - k, k)
     for i_max in (1, d, 2 * d, 500):
-        closed_form._n_exact_cached.cache_clear()
         calls.clear()
         values = linear_strand(m, k, i_max).values
         assert len(values) == i_max

@@ -81,7 +81,7 @@ def test_vertex_labels_follow_the_colex_layout(kn52) -> None:
     vertices = json.loads(to_json_graph(kn52))["vertices"]
     assert len(nodes) == len(vertices) == kn52.graph.n == 20
     for v in range(kn52.graph.n):
-        subset, side = kn52.subset_of(v), kn52.side_of(v).value
+        subset, side = kn52.subset_of(v), kn52.side_of(v)
         assert nodes[str(v)] == f'label="{subset_str(subset)}", side="{side}"'
         assert vertices[v] == {"id": v, "side": side,
                                "subset": list(elements_of(subset))}
@@ -101,13 +101,13 @@ def reference_dot(kn: KneserGraph) -> str:
     lines = [f"graph H_{kn.m}_{kn.k} {{"]
     for v in range(kn.graph.n):
         lines.append(f'  v{v} [label="{subset_str(kn.subset_of(v))}", '
-                     f'side="{kn.side_of(v).value}"];')
+                     f'side="{kn.side_of(v)}"];')
     lines.extend(f"  v{u} -- v{v};" for u, v in kn.graph.edges())
     return "\n".join(lines + ["}"]) + "\n"
 
 
 def reference_json(kn: KneserGraph) -> str:
-    vertices = [{"id": v, "side": kn.side_of(v).value,
+    vertices = [{"id": v, "side": kn.side_of(v),
                  "subset": list(elements_of(kn.subset_of(v)))}
                 for v in range(kn.graph.n)]
     payload = {"m": kn.m, "k": kn.k, "vertices": vertices,

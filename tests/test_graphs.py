@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from kneserhom.graphs import (
     Graph,
-    bit_indices,
     closed_neighborhood,
     complement,
     induced,
@@ -169,17 +168,6 @@ def test_neighborhoods() -> None:
     assert neighborhood(g, 0) == 0
 
 
-def verify_peo_independently(g: Graph, peo: tuple[int, ...]) -> bool:
-    # Simulated elimination: each vertex's later neighbours must be a clique.
-    pos = {v: i for i, v in enumerate(peo)}
-    for v in peo:
-        later = [u for u in bit_indices(g.adj[v]) if pos[u] > pos[v]]
-        for a, b in itertools.combinations(later, 2):
-            if not g.has_edge(a, b):
-                return False
-    return True
-
-
 def test_chordality_known_cases() -> None:
     assert is_chordal(complete_graph(5))
     assert is_chordal(path_graph(6))
@@ -193,16 +181,13 @@ def test_chordality_known_cases() -> None:
 
 @given(random_graphs())
 @settings(max_examples=200)
-def test_chordality_witness_verifies(g: Graph) -> None:
+def test_chordality_matches_networkx(g: Graph) -> None:
     nx = pytest.importorskip("networkx")
     res = is_chordal(g)
-    if res.chordal:
-        assert res.peo is not None and sorted(res.peo) == list(range(g.n))
-        assert verify_peo_independently(g, res.peo)
     ref = nx.Graph()
     ref.add_nodes_from(range(g.n))
     ref.add_edges_from(g.edges())
-    assert res.chordal == nx.is_chordal(ref)
+    assert type(res) is bool and res == nx.is_chordal(ref)
 
 
 def test_cochordal_cases() -> None:

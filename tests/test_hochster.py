@@ -249,6 +249,30 @@ def test_homology_rejects_bad_characteristic() -> None:
             reduced_homology_dims(sl, field_char=char)
 
 
+def test_is_prime_matches_trial_division() -> None:
+    primes = [p for p in range(2, 5000) if all(p % d for d in range(2, int(p ** 0.5) + 1))]
+    assert [p for p in range(-3, 5000) if hochster._is_prime(p)] == primes
+
+
+def test_a_large_prime_characteristic_is_accepted_fast() -> None:
+    g = build(3, 1).graph
+    start = time.perf_counter()
+    table = full_betti_oracle(g, field_char=2 ** 61 - 1)
+    assert time.perf_counter() - start < 0.5
+    assert table.entries == full_betti_oracle(g, field_char=0).entries
+
+
+@pytest.mark.parametrize("char", [561, 3_215_031_751, 318_665_857_834_031_151_167_461,
+                                  3_317_044_064_679_887_385_961_981])
+def test_pseudoprimes_and_the_bound_are_refused(char: int) -> None:
+    # 561 is a Carmichael number; 3,215,031,751 is a strong pseudoprime to
+    # the bases 2, 3, 5 and 7, and 318,665,857,834,031,151,167,461 to every
+    # prime base up to 37.  The last is the bound, and is named.
+    with pytest.raises(ValueError, match="prime below 3317044064679887385961981, "
+                                         f"got {char}$"):
+        full_betti_oracle(build(3, 1).graph, field_char=char)
+
+
 def test_homology_guard() -> None:
     tight = Guards(max_subsets=10 ** 6, max_faces=10 ** 6,
                    max_matrix_cells=4, max_search_nodes=10 ** 6)

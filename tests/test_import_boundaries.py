@@ -22,9 +22,13 @@ PACKAGE_DIR = Path(kneserhom.__file__).resolve().parent
 def package_imports(module: str) -> set[str]:
     """Modules of the package that module imports directly; "__init__"
     stands for the package itself, which holds only __version__."""
-    tree = ast.parse((PACKAGE_DIR / f"{module}.py").read_text())
+    return source_imports((PACKAGE_DIR / f"{module}.py").read_text())
+
+
+def source_imports(source: str) -> set[str]:
+    """`package_imports` of a module with this source text."""
     out = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom):
             parts = (node.module or "").split(".")
             if not node.level:
@@ -68,7 +72,10 @@ def reachable_imports(module: str) -> set[str]:
 
 
 def test_import_reader_sees_relative_and_absolute_imports() -> None:
-    assert {"bounds", "closed_form", "hochster", "__init__"} <= package_imports("cli")
+    assert {"bounds", "closed_form", "hochster"} <= package_imports("cli")
+    assert source_imports("from . import __version__, morse\nimport kneserhom\n"
+                          "from kneserhom.graphs import Graph\n") == {"__init__", "morse",
+                                                                     "graphs"}
     assert package_imports("hochster") >= {"combinatorics", "graphs", "config",
                                            "symmetry"}
 

@@ -241,6 +241,34 @@ def test_candidates_of_kneser_graphs_are_verified_automorphisms(m: int, k: int) 
     assert all(p in kept for p in own_candidates(m, k))
 
 
+# Every H(m, k) on at most 1,584 vertices, the size of H(12,5), the largest
+# graph the benchmark builds; C(12, 6) = 924 > 792, so k <= 5.
+UP_TO_1584 = [(m, k) for k in range(1, 6) for m in range(2 * k, 793)
+              if 2 * binom(m, k) <= 1584]
+
+
+def test_candidates_commute_with_the_reversal() -> None:
+    # Right id n-1-v holds the complement of left id v's subset, and a
+    # permutation of [m] commutes with complementing, so each lifted
+    # candidate p has p[n-1-v] = n-1-p[v]; the side swap is the reversal.
+    for n in sorted({2 * binom(m, k) for m, k in UP_TO_1584}):
+        candidates = candidate_generators(n)
+        assert len(candidates) == 3 * len(list(_kneser_parameters(n)))
+        for p in candidates:
+            assert sorted(p) == list(range(n))
+            assert p[::-1] == tuple(n - 1 - x for x in p)
+        assert candidates[2::3] == [tuple(range(n - 1, -1, -1))] * (len(candidates) // 3)
+
+
+def test_candidates_are_kept_on_the_built_graph() -> None:
+    # The check costs about a microsecond per row entry, so it runs on the
+    # graphs with at most the 16,632 edges of H(12,5): 155 of the 849.
+    for m, k in UP_TO_1584:
+        if binom(m, k) * binom(m - k, k) <= 16_632:
+            kept = automorphisms(build(m, k).graph.adj)
+            assert all(p in kept for p in own_candidates(m, k)), (m, k)
+
+
 def test_candidates_need_a_kneser_vertex_count() -> None:
     for n in (0, 1, 2, 3, 5, 7, 9):
         assert candidate_generators(n) == []
