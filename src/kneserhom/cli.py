@@ -430,10 +430,10 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    # Exact values and the needs a guard refuses can run past the
-    # interpreter's int-to-str limit (4,300 digits where
-    # sys.set_int_max_str_digits exists); lift it while the command runs,
-    # and give it back to the caller after.
+    # Exact values can run past the interpreter's int-to-str limit (4,300
+    # digits where sys.set_int_max_str_digits exists; a guard's refusal
+    # shows a need past 64 bits as a power of two); lift it while the
+    # command runs, and give it back to the caller after.
     limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
     if limit is not None:
         sys.set_int_max_str_digits(0)

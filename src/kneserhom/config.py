@@ -52,6 +52,10 @@ class GuardExceeded(RuntimeError):
         self.guard = guard
         self.needed = needed
         self.limit = limit
+        # a need past 64 bits is shown as its bit length: 2^25740 has 7,749 digits
+        if needed >> 64:
+            b = needed.bit_length() - 1
+            at_least, needed = at_least or needed > 1 << b, f"2^{b}"
         super().__init__(
             f"{context}: {guard} limit exceeded (needs {'at least ' if at_least else ''}"
             f"{needed}, limit {limit}). "

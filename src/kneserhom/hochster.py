@@ -143,12 +143,12 @@ def linear_strand_oracle(g: Graph, i: int, threads: int = 1,
 
     The stabiliser orbits are used when i >= 3 and n^2 <= C(n, i+1).  For
     i <= 2 the walk below s_j is at most the popcount tail, so the
-    stabiliser can save nothing.  Its orbits come from a walk over the n^2
-    ordered vertex pairs, and the second bound keeps that walk within the
-    C(n, i+1) subsets the max_subsets guard has let through; n^2 is larger
-    only for i + 1 near n, where the sum is small.  Otherwise each allowed
-    id is its own part, of weight 1, and the walk is the plain one step for
-    step: at i = 1 it is the popcount tail of {r}, and at i = 2 the
+    stabiliser can save nothing.  A Schreier transversal finds its orbits
+    in |generators| n^2 list steps at most, and the second bound keeps n^2
+    within the C(n, i+1) subsets the max_subsets guard has let through; it
+    is larger only for i + 1 near n, where the sum is small.  Otherwise each
+    allowed id is its own part, of weight 1, and the walk is the plain one
+    step for step: at i = 1 it is the popcount tail of {r}, and at i = 2 the
     prefixes {r, s} for every allowed s.  H(m, k) has one vertex orbit, and
     on H(6,2) the stabiliser S_2 x S_4 of a vertex cuts the 29 allowed ids
     into 5 parts.  A graph with no verified generator has n singleton

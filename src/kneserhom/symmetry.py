@@ -13,13 +13,13 @@ adjacency onto itself.  A graph that is no H(m, k) in that layout keeps no
 generator, and then every vertex, and every vertex subset, is its own
 orbit.  H(m, k) itself has one vertex orbit.
 
-One closure walk finds the orbits on vertices, on ordered vertex pairs and
-on subsets of the right ids.  The linear strand oracle and the i and tau
-searches start at the roots of `orbit_roots`; the strand oracle also reads,
-from `root_stabiliser_orbits`, the orbits of each root's stabiliser, which
-the pair orbits give.  The full Betti table sums over `subset_orbits`: the
-orbits on the subsets of the left ids, then, for each, the orbits of its
-Schreier generators on the subsets of the right ids.
+One closure walk finds orbits, and one coset transversal, `_schreier`,
+the generators of every point stabiliser.  The linear strand oracle and the
+i and tau searches start at the roots of `orbit_roots`; the strand oracle
+also reads, from `root_stabiliser_orbits`, the orbits of each root's
+stabiliser on the vertices.  The full Betti table sums over
+`subset_orbits`: the orbits on the subsets of the left ids, then, for each,
+the orbits of its stabiliser on the subsets of the right ids.
 
 Permutations are tuples p of vertex ids, p[v] the image of v.
 """
@@ -133,6 +133,28 @@ def _roots(n: int, generators) -> list[tuple[int, int, int]]:
     return out
 
 
+def _schreier(root: int, moves, carried):
+    """The orbit of root under the moves, in walk order, and the distinct
+    nontrivial u_y^-1 s u_x, which span its stabiliser (Schreier's lemma):
+    u_x maps root to the orbit point x, and y = s(x) for a move (images, s),
+    images[x] the image of x under the vertex permutation s.  Each is
+    written on the carried ids, which the stabiliser keeps, as j -> the
+    position of its image of carried[j]: |orbit| |moves| lists in all."""
+    # coset[x]: u_x(carried), and where in it each id is
+    coset = {root: (carried, {v: j for j, v in enumerate(carried)})}
+    orbit, stab = [root], set()
+    for x in orbit:
+        for images, s in moves:
+            y, su = images[x], [s[v] for v in coset[x][0]]
+            if y in coset:
+                stab.add(tuple(map(coset[y][1].__getitem__, su)))
+            else:
+                orbit.append(y)
+                coset[y] = su, dict(zip(su, range(len(su))))
+    stab.discard(tuple(range(len(carried))))
+    return orbit, stab
+
+
 def root_stabiliser_orbits(adj) -> list[tuple[int, int, int, list[int]]]:
     """(r, orbit, earlier, parts) for each root (r, orbit, earlier) of
     `orbit_roots`, where parts lists the orbits of the stabiliser of r, the
@@ -140,27 +162,16 @@ def root_stabiliser_orbits(adj) -> list[tuple[int, int, int, list[int]]]:
     vertex.  They partition the vertices; {r} is one of them, and since the
     stabiliser preserves every vertex orbit, each lies in one vertex orbit.
 
-    They are read off the orbits of the generators on the n^2 ordered
-    pairs, the point a n + b standing for (a, b): (r, x) and (r, y) lie in
-    one pair orbit exactly when some automorphism maps r to r and x to y,
-    that is, when x and y lie in one orbit of the stabiliser of r.  So no
-    generator of the stabiliser is needed, and the walk costs n^2 steps per
-    generator.  A graph with no verified generator gets n singleton parts
-    per root."""
+    The parts are the closure of the Schreier generators of `_schreier` on
+    all n ids: at most |generators| n^2 list steps over all roots.  A graph
+    with no verified generator gets n singleton parts per root."""
     n = len(adj)
     generators = automorphisms(adj)
-    pair_maps = [[a + b for a in [p[x] * n for x in range(n)] for b in p] for p in generators]
-    label = [0] * (n * n)
-    for k, orbit in enumerate(_closure(n * n, pair_maps)):
-        for point in orbit:
-            label[point] = k
+    moves = [(p, p) for p in generators]
     out = []
     for r, orbit, earlier in _roots(n, generators):
-        parts: dict[int, int] = {}
-        for x in range(n):
-            k = label[r * n + x]
-            parts[k] = parts.get(k, 0) | 1 << x
-        out.append((r, orbit, earlier, list(parts.values())))
+        parts = _closure(n, _schreier(r, moves, range(n))[1])
+        out.append((r, orbit, earlier, [sum(1 << v for v in part) for part in parts]))
     return out
 
 
@@ -179,10 +190,9 @@ def subset_orbits(adj):
     isolated vertex in G[w], weight the orbit's size; return the number of
     subsets left out as cones.  Weights and cones sum to 2^n.
 
-    W is L + R, L its ids below h.  The orbits on the 2^h masks L are walked
-    with u_L mapping the smallest mask L0 of its orbit onto L; (L, R) maps
-    by u_L^-1 onto (L0, R'), and the u_{sL}^-1 s u_L for every L and
-    generator s span Stab(L0) (Schreier's lemma).  So the sum over L0's
+    W is L + R, L its ids below h.  `_schreier` walks the orbit of the
+    smallest mask L0 of each orbit on the 2^h masks L, u_L mapping L0 onto
+    L, and (L, R) maps by u_L^-1 onto (L0, R').  So the sum over L0's
     orbit is its size times the sum over the orbits of Stab(L0) on the R',
     which is exact for any subgroup: a smaller one cuts finer orbits.  An R'
     with no cone holds each right id that is the only neighbour of a vertex
@@ -198,24 +208,14 @@ def subset_orbits(adj):
     for l0 in range(1 << h):
         if seen[l0]:
             continue
-        seen[l0] = 1
         forced = sum({adj[v] for v in bit_indices(l0) if adj[v].bit_count() == 1}) & right
         near = 0
         for v in bit_indices(l0 | forced):
             near |= adj[v]
         ids = [v for v in range(h, n) if adj[v] & (l0 | right) and not forced >> v & 1]
-        # coset[x]: u(ids) for a u with u(l0) = x, and where in it each id is
-        orbit, coset, stab = [l0], {l0: (ids, {v: j for j, v in enumerate(ids)})}, set()
+        orbit, stab = _schreier(l0, moves, ids)
         for x in orbit:
-            for images, s in moves:
-                y, su = images[x], [s[v] for v in coset[x][0]]
-                if y in coset:
-                    stab.add(tuple(map(coset[y][1].__getitem__, su)))
-                else:
-                    seen[y] = 1
-                    orbit.append(y)
-                    coset[y] = su, dict(zip(su, range(len(su))))
-        stab.discard(tuple(range(len(ids))))
+            seen[x] = 1
         maps = [_unions([1 << j for j in g]) for g in stab]
         spread, cover = _unions([1 << v for v in ids]), _unions([adj[v] for v in ids])
         cones += len(orbit) * ((1 << n - h) - len(spread))

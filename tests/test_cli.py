@@ -106,6 +106,17 @@ def test_info_refuses_before_computing_the_binomial(capsys) -> None:
                    "the --max-subsets flag.\n")
 
 
+def test_full_table_refusal_names_the_bit_length_of_its_need(capsys) -> None:
+    # H(16,8) has 25,740 vertices and builds; its table needs 2^25740
+    # subsets, a 7,749-digit number that the refusal does not print
+    code, out, err = run(capsys, "betti-table", "16", "8")
+    assert (code, out) == (3, "")
+    assert err == ("error: full Betti table on 25740 vertices: max_subsets limit "
+                   "exceeded (needs 2^25740, limit 1200000). If this size is "
+                   "intentional, raise the limit via KNESERHOM_MAX_SUBSETS or "
+                   "the --max-subsets flag.\n")
+
+
 def test_subset_element_above_m_exits_2(capsys) -> None:
     code, out, err = run(capsys, "certify", "5", "2", "--kind", "matching",
                          "--s", "100")

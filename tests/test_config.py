@@ -23,6 +23,23 @@ def test_check_raises_above_limit() -> None:
     assert "--max-faces" in msg
 
 
+def test_a_need_past_64_bits_is_shown_by_its_bit_length() -> None:
+    # a need below 2^64 prints in full; past it, a power of two prints as
+    # 2^b and any other need as at least 2^b, and .needed stays exact
+    for needed, shown in [((1 << 64) - 1, "needs 18446744073709551615,"),
+                          (1 << 64, "needs 2^64,"), ((1 << 64) + 1, "needs at least 2^64,"),
+                          (3 << 100, "needs at least 2^101,")]:
+        with pytest.raises(GuardExceeded) as exc:
+            Guards(max_subsets=5).check("max_subsets", needed, "big")
+        assert exc.value.needed == needed
+        assert shown in str(exc.value), needed
+    # a lower bound stays one, even when it is a power of two
+    e = GuardExceeded("max_subsets", 1 << 70, 5, "bound", at_least=True)
+    assert "(needs at least 2^70, limit 5)" in str(e)
+    e = GuardExceeded("max_subsets", 70, 5, "bound", at_least=True)
+    assert "(needs at least 70, limit 5)" in str(e)
+
+
 def test_from_env_reads_overrides() -> None:
     env = {"KNESERHOM_MAX_SUBSETS": "42", "KNESERHOM_MAX_SEARCH_NODES": "7"}
     g = Guards.from_env(env)

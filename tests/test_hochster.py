@@ -131,6 +131,44 @@ def test_linear_strand_guard_counts_every_subset_not_the_walk() -> None:
     assert "linear strand i=5 on a 30-vertex graph" in str(exc.value)
 
 
+def test_refusals_show_a_need_past_64_bits_by_its_bit_length() -> None:
+    # the needs 2^100 and C(200, 51), a 160-bit number, would print as 31
+    # and 48 digits; the exception keeps them exact
+    with pytest.raises(GuardExceeded) as exc:
+        full_betti_oracle(empty_graph(100))
+    assert exc.value.needed == 1 << 100
+    assert "full Betti table on 100 vertices: max_subsets limit exceeded " \
+        "(needs 2^100, limit 1200000)" in str(exc.value)
+    with pytest.raises(GuardExceeded) as exc:
+        linear_strand_oracle(empty_graph(200), 50)
+    assert exc.value.needed == binom(200, 51)
+    assert "linear strand i=50 on a 200-vertex graph: max_subsets limit exceeded " \
+        "(needs at least 2^159, limit 1200000)" in str(exc.value)
+
+
+def test_linear_strand_reads_the_stabiliser_only_where_it_can_pay(monkeypatch) -> None:
+    # The oracle reads the root stabilisers only when i >= 3 and
+    # n^2 <= C(n, i+1): below i = 3 they save nothing, and the second bound
+    # keeps their |generators| n^2 list steps within the subsets the guard
+    # lets through.  At i = n - 1, C(n, n) = 1 < n^2.
+    class Read(Exception):
+        pass
+
+    def refuse(adj):
+        raise Read
+
+    monkeypatch.setattr(hochster, "root_stabiliser_orbits", refuse)
+    h62 = build(6, 2).graph
+    assert [linear_strand_oracle(h62, i) for i in (1, 2)] == [90, 450]
+    assert linear_strand_oracle(build(3, 1).graph, 5) == 0
+    assert linear_strand_oracle(complete_graph(6), 5) == 5
+    assert linear_strand_oracle(build(4, 2).graph, 9) == 0  # C(12, 10) = 66 < 144
+    with pytest.raises(Read):
+        linear_strand_oracle(h62, 3)
+    with pytest.raises(Read):
+        linear_strand_oracle(build(4, 2).graph, 8)  # C(12, 9) = 220
+
+
 def test_linear_strand_merges_under_the_root_stabiliser(monkeypatch) -> None:
     # On H(6,2) the stabiliser S_2 x S_4 of vertex 0 cuts the 29 other
     # vertices into 5 parts, and from i = 3 on the walk starts at one

@@ -8,7 +8,8 @@ A random relabelling of H(m, k) keeps none of the candidate generators, so
 `full_betti_oracle` sums it over 2^n one-subset orbits, and its table must
 equal the one summed over the orbits of the unrelabelled graph.  The root
 stabilisers of `root_stabiliser_orbits` are checked against the point
-stabilisers of the whole group, listed element by element.  The linear
+stabilisers of the whole group, listed element by element, and on groups
+too large to list against a walk over the ordered vertex pairs.  The linear
 strand is checked against a union-find count written here, sharing no code
 with `hochster`, on graphs with one vertex orbit, with n singleton orbits,
 with orbits of sizes 1 and 2, with two orbits that interleave in id
@@ -489,6 +490,47 @@ def test_root_stabiliser_orbits_match_the_whole_group(g: Graph) -> None:
             if not any(part >> x & 1 for part in brute):
                 brute.append(sum(1 << y for y in {h[x] for h in stabiliser}))
         assert parts == brute, r
+
+
+def pair_walk_parts(n: int, gens) -> dict[int, list[int]]:
+    """The parts of the stabiliser of every vertex r, read off the orbits of
+    the generators on the n^2 ordered pairs (a, b), the point a n + b: (r, x)
+    and (r, y) lie in one pair orbit exactly when some element of the group
+    maps r to r and x to y.  No generator of a stabiliser is needed."""
+    pair_maps = [[p[a] * n + p[b] for a in range(n) for b in range(n)] for p in gens]
+    label = [0] * (n * n)
+    for k, orbit in enumerate(_closure(n * n, pair_maps)):
+        for point in orbit:
+            label[point] = k
+    out = {}
+    for r in range(n):
+        parts: dict[int, int] = {}
+        for x in range(n):
+            parts[label[r * n + x]] = parts.get(label[r * n + x], 0) | 1 << x
+        out[r] = list(parts.values())
+    return out
+
+
+# S_m x Z_2 has 1,440 elements for m = 6 and 725,760 for m = 9, too many to
+# list; the pair walk needs none of them.
+@pytest.mark.parametrize("g", [build(6, 2).graph, build(7, 2).graph, build(7, 3).graph,
+                               build(8, 3).graph, build(9, 4).graph,
+                               relabelled(build(5, 2).graph), two_paths(),
+                               without_rung_edge(5, 2)])
+def test_root_stabiliser_orbits_match_the_pair_walk(g: Graph) -> None:
+    roots = root_stabiliser_orbits(g.adj)
+    assert [root[:3] for root in roots] == orbit_roots(g.adj)
+    brute = pair_walk_parts(g.n, automorphisms(g.adj))
+    for r, _, _, parts in roots:
+        assert parts == brute[r], r
+
+
+def test_root_stabiliser_of_h62() -> None:
+    # S_6 x Z_2 has order 1,440, and the stabiliser S_2 x S_4 of the vertex
+    # {1, 2} of H(6,2) cuts the other 29 vertices into parts of sizes 8, 6,
+    # 6, 8 and 1, in order of smallest vertex
+    [(r, _, _, parts)] = root_stabiliser_orbits(build(6, 2).graph.adj)
+    assert r == 0 and [part.bit_count() for part in parts] == [1, 8, 6, 6, 8, 1]
 
 
 def test_root_stabilisers_of_h52_and_of_no_generator() -> None:
